@@ -14,6 +14,7 @@ open Bechamel
 open Relpipe_model
 open Relpipe_core
 module Rng = Relpipe_util.Rng
+module Pool = Relpipe_pool.Pool
 
 let make_fully_hetero seed ~n ~m =
   let rng = Rng.create seed in
@@ -587,7 +588,7 @@ let batch_throughput ?(n_requests = 200) () =
     let elapsed = Unix.gettimeofday () -. t0 in
     (elapsed, responses)
   in
-  let par = max 4 (Relpipe_service.Pool.cpu_count ()) in
+  let par = max 4 (Pool.cpu_count ()) in
   let sec_seq, r_seq = time_run 1 in
   let sec_par, r_par = time_run par in
   let identical =
@@ -596,7 +597,7 @@ let batch_throughput ?(n_requests = 200) () =
         String.equal (Protocol.encode_response a) (Protocol.encode_response b))
       r_seq r_par
   in
-  let cpus = Relpipe_service.Pool.cpu_count () in
+  let cpus = Pool.cpu_count () in
   Printf.printf "Batch-engine throughput (%d-request sweep, n=8 m=5)\n"
     n_requests;
   print_endline "====================================================";
@@ -689,7 +690,7 @@ let serve_throughput () =
     (try Unix.rmdir dir with Unix.Unix_error _ -> ());
     (elapsed, List.rev !replies)
   in
-  let par = max 4 (Relpipe_service.Pool.cpu_count ()) in
+  let par = max 4 (Pool.cpu_count ()) in
   let sec_seq, r_seq = run_at 1 in
   let sec_par, r_par = run_at par in
   if List.length r_seq <> n_requests then
@@ -705,7 +706,7 @@ let serve_throughput () =
     sec_par
     (float_of_int n_requests /. sec_par)
     (sec_seq /. sec_par)
-    (Relpipe_service.Pool.cpu_count ());
+    (Pool.cpu_count ());
   Printf.printf "  replies byte-identical across worker counts: true\n\n";
   [
     { s_workers = 1; s_sec = sec_seq; s_requests = n_requests };
@@ -801,8 +802,8 @@ let atlas_bench ?(n_requests = 20_000) () =
         })
       [ 0.0; 0.5; 1.1; 1.5 ]
   in
-  let par = max 4 (Relpipe_service.Pool.cpu_count ()) in
-  let cpus = Relpipe_service.Pool.cpu_count () in
+  let par = max 4 (Pool.cpu_count ()) in
+  let cpus = Pool.cpu_count () in
   let sec1, r1 = run ~workers:1 Stream_gen.default_spec in
   let secp, rp = run ~workers:par Stream_gen.default_spec in
   let identical = String.equal (Atlas.render r1) (Atlas.render rp) in
@@ -869,7 +870,7 @@ let write_json path ~virtual_clock ~twins ?(serve = []) ?(churn = [])
   (* Every wall-clock throughput row names the host CPU count and flags
      oversubscription, so a 0.14x "speedup" measured with 4 workers on a
      1-cpu host cannot be misread as a regression. *)
-  let cpus = Relpipe_service.Pool.cpu_count () in
+  let cpus = Pool.cpu_count () in
   let host_fields workers =
     [ ("cpus", J.Int cpus); ("oversubscribed", J.Bool (workers > cpus)) ]
   in
@@ -991,7 +992,7 @@ let write_json path ~virtual_clock ~twins ?(serve = []) ?(churn = [])
       [
         ("version", J.Int 2);
         ("date", J.Str date);
-        ("cpus", J.Int (Relpipe_service.Pool.cpu_count ()));
+        ("cpus", J.Int (Pool.cpu_count ()));
         ("virtual_clock", J.Bool virtual_clock);
         ("twins", J.List (List.map twin_json twins));
         ("par_exact", J.List (List.map par_json par));

@@ -20,6 +20,7 @@ open Relpipe_model
 open Relpipe_core
 module Service = Relpipe_service
 module Serve = Relpipe_serve
+module Pool = Relpipe_pool.Pool
 
 (* Every file-loading subcommand shares this helper; parse failures are
    rendered through the Relpipe_analysis spans ("path:line:col:
@@ -814,7 +815,7 @@ let output_arg =
 let make_engine ?obs ?(cache_shards = 1) ~workers ~exact_workers ~cache_size ()
     =
   let workers =
-    if workers <= 0 then Service.Pool.cpu_count () else workers
+    if workers <= 0 then Pool.cpu_count () else workers
   in
   Service.Engine.create ?obs ~workers ~cap_to_cpus:(not exact_workers)
     ~cache_capacity:cache_size ~cache_shards ()
@@ -1520,8 +1521,8 @@ let fuzz_cmd =
           `Error (false, "--max-stages and --max-procs must be positive")
       | Ok oracles ->
           let workers =
-            Service.Pool.effective_workers ~cap:(not exact_workers)
-              (if workers <= 0 then Service.Pool.cpu_count () else workers)
+            Pool.effective_workers ~cap:(not exact_workers)
+              (if workers <= 0 then Pool.cpu_count () else workers)
           in
           let report =
             Fuzz.Runner.run
@@ -1698,7 +1699,7 @@ let devlint_cmd =
          AST-grounded replacement for the old tools/forbid.sh grep), the \
          determinism family (ambient randomness, wall-clock reads, \
          Domain.self, unordered Hashtbl iteration), the race family \
-         (unsynchronized writes captured by Service.Pool / Domain.spawn \
+         (unsynchronized writes captured by Pool.map / Domain.spawn \
          closures) and the obs-names family (metric/span name contract).";
       `P
         "Vetted exceptions live in a baseline file (one \"RULE-ID \
@@ -2119,10 +2120,10 @@ let churn_cmd =
             | [] -> ());
             if verify then begin
               let workers =
-                if workers <= 0 then Service.Pool.cpu_count () else workers
+                if workers <= 0 then Pool.cpu_count () else workers
               in
               let workers =
-                Service.Pool.effective_workers ~cap:(not exact_workers) workers
+                Pool.effective_workers ~cap:(not exact_workers) workers
               in
               if Churn.Engine.verify ~obs ~workers ~objective steps then begin
                 Printf.printf "verify:  warm == cold on %d steps\n"

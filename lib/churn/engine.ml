@@ -4,7 +4,7 @@ module Bb = Relpipe_core.Bb
 module Solution = Relpipe_core.Solution
 module Obs = Relpipe_obs.Obs
 module Clock = Relpipe_obs.Clock
-module Pool = Relpipe_service.Pool
+module Pool = Relpipe_pool.Pool
 
 type step = {
   index : int;

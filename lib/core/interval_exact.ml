@@ -1,266 +1,139 @@
 open Relpipe_model
 module Obs = Relpipe_obs.Obs
+module Pool = Relpipe_pool.Pool
 module W = Relpipe_util.Workspace
 
 let max_procs = 14
 
-(* Reusable domain-local scratch: the DP table, the parent table, and the
-   per-call platform/pipeline snapshots.  Flat arrays, cell (e, u, mask) at
-   [((e * m) + u) * masks + mask].  Reusing them across calls removes the
-   dominant allocation cost of small solves; the requested prefix is
-   re-initialised on every call so nothing leaks between solves (see
-   test/test_reference.ml workspace-reuse tests). *)
+(* One solve: a snapshot of the instance's cost inputs in flat arrays (the
+   hot loop must not allocate [Platform.Proc _] constructors or chase the
+   platform representation) plus the DP and parent tables.  Cell
+   (e, u, mask) lives at [((e * m) + u) * masks + mask]: the cheapest cost
+   of stages 1..e split into intervals on distinct processors (set =
+   mask), the last one on u, including the input communication and
+   everything up to stage e but not the final output.  Its parent is the
+   previous interval's end (e * m) + u, or -1 for a single interval. *)
+type table = {
+  n : int;
+  m : int;
+  masks : int;
+  wp : float array; (* work prefixes, n + 1 *)
+  delta : float array; (* data sizes, n + 1 *)
+  spd : float array;
+  bw_in : float array; (* Pin -> u *)
+  bw_out : float array; (* u -> Pout *)
+  bw_pp : float array; (* u -> v at u * m + v, diagonal unused *)
+  dp : float array;
+  parent : int array;
+}
+
+(* Domain-local tables for the one-shot entry points: reusing them across
+   calls removes the dominant allocation cost of small solves, and the
+   requested prefix is re-initialised on every call so nothing leaks
+   between solves (see test/test_reference.ml workspace-reuse tests). *)
 let ws_dp = W.floats ()
 let ws_parent = W.ints ()
-let ws_env = W.floats ()
 
-let min_latency instance =
+let cells t = (t.n + 1) * t.m * t.masks
+
+let create ~who ~owned instance =
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in
   if m > max_procs then
-    invalid_arg "Interval_exact.min_latency: too many processors (cap 14)";
+    invalid_arg ("Interval_exact." ^ who ^ ": too many processors (cap 14)");
   let masks = 1 lsl m in
-  let obs = Obs.ambient () in
-  Obs.incr obs "core.interval_dp.runs";
-  Obs.add obs "core.interval_dp.cells" ((n + 1) * m * masks);
-  (* Successful relaxations, counted locally and flushed once at the end
-     so the hot loop never touches an atomic. *)
-  let updates = ref 0 in
-  (* Snapshot the platform into flat arrays: the hot loop must not allocate
-     [Platform.Proc _] constructors or chase the platform representation.
-     Layout in [env]: work prefixes (n+1) | deltas (n+1) | speeds (m)
-     | Pin->v bandwidths (m) | u->Pout bandwidths (m) | u->v bandwidths
-     (m*m, diagonal unused). *)
-  let off_wp = 0 in
-  let off_delta = n + 1 in
-  let off_spd = off_delta + n + 1 in
-  let off_bw_in = off_spd + m in
-  let off_bw_out = off_bw_in + m in
-  let off_bw_pp = off_bw_out + m in
-  let env = W.get_floats ws_env ~len:(off_bw_pp + (m * m)) ~fill:0.0 in
-  Array.blit (Pipeline.work_prefixes pipeline) 0 env off_wp (n + 1);
-  for k = 0 to n do
-    env.(off_delta + k) <- Pipeline.delta pipeline k
-  done;
+  let len = (n + 1) * m * masks in
+  let bw a b = Platform.bandwidth platform a b in
+  let bw_pp = Array.make (m * m) 0.0 in
   for u = 0 to m - 1 do
-    env.(off_spd + u) <- Platform.speed platform u;
-    env.(off_bw_in + u) <-
-      Platform.bandwidth platform Platform.Pin (Platform.Proc u);
-    env.(off_bw_out + u) <-
-      Platform.bandwidth platform (Platform.Proc u) Platform.Pout;
     for v = 0 to m - 1 do
       if u <> v then
-        env.(off_bw_pp + (u * m) + v) <-
-          Platform.bandwidth platform (Platform.Proc u) (Platform.Proc v)
+        bw_pp.((u * m) + v) <- bw (Platform.Proc u) (Platform.Proc v)
     done
   done;
-  (* dp cell ((e * m) + u) * masks + mask: cheapest cost of stages 1..e
-     split into intervals with distinct processors (set = mask), last
-     interval on u; includes the input communication and all
-     computations/communications up to stage e, excludes the final
-     output. *)
-  let cells = (n + 1) * m * masks in
-  let dp = W.get_floats ws_dp ~len:cells ~fill:Float.infinity in
-  let parent = W.get_ints ws_parent ~len:cells ~fill:(-1) in
+  {
+    n;
+    m;
+    masks;
+    wp = Pipeline.work_prefixes pipeline;
+    delta = Array.init (n + 1) (Pipeline.delta pipeline);
+    spd = Array.init m (Platform.speed platform);
+    bw_in = Array.init m (fun u -> bw Platform.Pin (Platform.Proc u));
+    bw_out = Array.init m (fun u -> bw (Platform.Proc u) Platform.Pout);
+    bw_pp;
+    dp =
+      (if owned then Array.make len Float.infinity
+       else W.get_floats ws_dp ~len ~fill:Float.infinity);
+    parent =
+      (if owned then Array.make len (-1)
+       else W.get_ints ws_parent ~len ~fill:(-1));
+  }
+
+(* Single-interval cells (stages 1..e on v alone) of every v in [dirty]. *)
+let base_rows t ~dirty =
+  let { n; m; masks; wp; delta; spd; bw_in; dp; _ } = t in
   for v = 0 to m - 1 do
-    let input = env.(off_delta) /. env.(off_bw_in + v) in
-    let sv = env.(off_spd + v) in
-    let cell = 1 lsl v in
-    for e = 1 to n do
-      dp.((((e * m) + v) * masks) + cell) <-
-        input +. ((env.(off_wp + e) -. env.(off_wp)) /. sv)
-    done
-  done;
-  for e = 1 to n - 1 do
-    let delta_e = env.(off_delta + e) in
-    let wp_e = env.(off_wp + e) in
-    for u = 0 to m - 1 do
-      let row = ((e * m) + u) * masks in
-      let bw_row = off_bw_pp + (u * m) in
-      for mask = 0 to masks - 1 do
-        let base = dp.(row + mask) in
-        if Float.is_finite base then
-          for v = 0 to m - 1 do
-            if mask land (1 lsl v) = 0 then begin
-              let comm = delta_e /. env.(bw_row + v) in
-              let nmask = mask lor (1 lsl v) in
-              let sv = env.(off_spd + v) in
-              let base_comm = base +. comm in
-              let col = (v * masks) + nmask in
-              for e' = e + 1 to n do
-                let cand =
-                  base_comm +. ((env.(off_wp + e') -. wp_e) /. sv)
-                in
-                let cell = (e' * m * masks) + col in
-                if cand < dp.(cell) then begin
-                  dp.(cell) <- cand;
-                  parent.(cell) <- (e * m) + u;
-                  incr updates
-                end
-              done
-            end
-          done
+    if dirty land (1 lsl v) <> 0 then begin
+      let input = delta.(0) /. bw_in.(v) and sv = spd.(v) in
+      for e = 1 to n do
+        dp.((((e * m) + v) * masks) + (1 lsl v)) <-
+          input +. ((wp.(e) -. wp.(0)) /. sv)
       done
-    done
-  done;
-  (* Close against Pout. *)
-  let best = ref Float.infinity and best_u = ref (-1) and best_mask = ref 0 in
+    end
+  done
+
+(* The kernel: every relaxation out of source stage [e] into a target
+   processor v in [cols] whose target mask meets [dirty], in (u, mask, v,
+   e') order with a strict-< update.  Reads only stage-e cells, writes
+   only column-[cols] cells at stages above e, and returns the number of
+   improvements. *)
+let relax t ~dirty ~cols e =
+  let { n; m; masks; wp; delta; spd; bw_pp; dp; parent; _ } = t in
+  let all = masks - 1 in
+  let delta_e = delta.(e) and wp_e = wp.(e) in
+  (* The lowest and highest target columns, so that a one-column job
+     tests one v per source instead of m. *)
+  let v_lo = ref 0 and v_hi = ref (m - 1) in
+  while !v_lo < m && cols land (1 lsl !v_lo) = 0 do incr v_lo done;
+  while !v_hi >= 0 && cols land (1 lsl !v_hi) = 0 do decr v_hi done;
+  let v_lo = !v_lo and v_hi = !v_hi in
+  let updates = ref 0 in
   for u = 0 to m - 1 do
-    let out = env.(off_delta + n) /. env.(off_bw_out + u) in
-    let row = ((n * m) + u) * masks in
-    for mask = 0 to masks - 1 do
-      let total = dp.(row + mask) +. out in
-      if total < !best then begin
-        best := total;
-        best_u := u;
-        best_mask := mask
-      end
-    done
-  done;
-  Obs.add obs "core.interval_dp.states" !updates;
-  if not (Float.is_finite !best) then None
-  else begin
-    (* Reconstruct the interval chain. *)
-    let rec rebuild e u mask acc =
-      match parent.((((e * m) + u) * masks) + mask) with
-      | -1 -> { Mapping.first = 1; last = e; procs = [ u ] } :: acc
-      | code ->
-          let pe = code / m and pu = code mod m in
-          rebuild pe pu
-            (mask land lnot (1 lsl u))
-            ({ Mapping.first = pe + 1; last = e; procs = [ u ] } :: acc)
-    in
-    let intervals = rebuild n !best_u !best_mask [] in
-    Some (!best, Mapping.make ~n ~m intervals)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Layer-parallel DP (PR 9).  A cell (e', v, nmask) only ever receives
-   relaxations from cells whose mask is [nmask] minus one processor, so
-   the table decomposes into independent layers by mask popcount: all of
-   layer k-1 is final before any layer-k cell needs it, and no two cells
-   inside a layer depend on each other.  Each layer is recomputed
-   pull-style over the pool — one job per mask, each job owning every
-   (e', v) cell of its mask — scanning the candidate sources in exactly
-   the serial nest's order (e ascending, then u ascending) with the same
-   strict-< update, so values {e and} tie-breaking parents land
-   bit-for-bit where [min_latency] puts them, at every worker count. *)
-
-module Pool = Relpipe_pool.Pool
-
-let popcount mask =
-  let rec go acc mask = if mask = 0 then acc else go (acc + 1) (mask land (mask - 1)) in
-  go 0 mask
-
-let min_latency_par ?(workers = 1) instance =
-  let { Instance.pipeline; platform } = instance in
-  let n = Pipeline.length pipeline and m = Platform.size platform in
-  if m > max_procs then
-    invalid_arg "Interval_exact.min_latency_par: too many processors (cap 14)";
-  let masks = 1 lsl m in
-  let obs = Obs.ambient () in
-  Obs.incr obs "core.exact.par.dp.runs";
-  Obs.add obs "core.exact.par.dp.cells" ((n + 1) * m * masks);
-  (* Same flat snapshot layout as [min_latency]. *)
-  let off_wp = 0 in
-  let off_delta = n + 1 in
-  let off_spd = off_delta + n + 1 in
-  let off_bw_in = off_spd + m in
-  let off_bw_out = off_bw_in + m in
-  let off_bw_pp = off_bw_out + m in
-  let env = W.get_floats ws_env ~len:(off_bw_pp + (m * m)) ~fill:0.0 in
-  Array.blit (Pipeline.work_prefixes pipeline) 0 env off_wp (n + 1);
-  for k = 0 to n do
-    env.(off_delta + k) <- Pipeline.delta pipeline k
-  done;
-  for u = 0 to m - 1 do
-    env.(off_spd + u) <- Platform.speed platform u;
-    env.(off_bw_in + u) <-
-      Platform.bandwidth platform Platform.Pin (Platform.Proc u);
-    env.(off_bw_out + u) <-
-      Platform.bandwidth platform (Platform.Proc u) Platform.Pout;
-    for v = 0 to m - 1 do
-      if u <> v then
-        env.(off_bw_pp + (u * m) + v) <-
-          Platform.bandwidth platform (Platform.Proc u) (Platform.Proc v)
-    done
-  done;
-  let cells = (n + 1) * m * masks in
-  let dp = W.get_floats ws_dp ~len:cells ~fill:Float.infinity in
-  let parent = W.get_ints ws_parent ~len:cells ~fill:(-1) in
-  (* Layer 1: base cells, cheap enough to fill on the caller. *)
-  for v = 0 to m - 1 do
-    let input = env.(off_delta) /. env.(off_bw_in + v) in
-    let sv = env.(off_spd + v) in
-    let cell = 1 lsl v in
-    for e = 1 to n do
-      dp.((((e * m) + v) * masks) + cell) <-
-        input +. ((env.(off_wp + e) -. env.(off_wp)) /. sv)
-    done
-  done;
-  (* Masks of each popcount layer, ascending within a layer. *)
-  let layer = Array.make (m + 1) [] in
-  for mask = masks - 1 downto 1 do
-    let k = popcount mask in
-    layer.(k) <- mask :: layer.(k)
-  done;
-  (* Recompute every (e', v) cell of [nmask] from the final layer-(k-1)
-     values; returns the number of strict improvements so the update
-     total stays comparable with the serial kernel's. *)
-  let relax_mask nmask =
-    let updates = ref 0 in
-    for v = 0 to m - 1 do
-      if nmask land (1 lsl v) <> 0 then begin
-        let smask = nmask lxor (1 lsl v) in
-        let sv = env.(off_spd + v) in
-        let col = (v * masks) + nmask in
-        for e = 1 to n - 1 do
-          let delta_e = env.(off_delta + e) in
-          let wp_e = env.(off_wp + e) in
-          for u = 0 to m - 1 do
-            if smask land (1 lsl u) <> 0 then begin
-              let base = dp.((((e * m) + u) * masks) + smask) in
-              if Float.is_finite base then begin
-                let base_comm =
-                  base +. (delta_e /. env.(off_bw_pp + (u * m) + v))
-                in
-                for e' = e + 1 to n do
-                  let cand = base_comm +. ((env.(off_wp + e') -. wp_e) /. sv) in
-                  let cell = (e' * m * masks) + col in
-                  if cand < dp.(cell) then begin
-                    (* devlint: allow RP-S301 — cell owned by this [nmask] job *)
-                    dp.(cell) <- cand;
-                    (* devlint: allow RP-S301 — cell owned by this [nmask] job *)
-                    parent.(cell) <- (e * m) + u;
-                    incr updates
-                  end
-                done
+    let row = ((e * m) + u) * masks and bw_row = u * m and code = (e * m) + u in
+    for mask = 0 to all do
+      let base = dp.(row + mask) in
+      if Float.is_finite base then begin
+        (* A target outside [dirty] already holds its final value. *)
+        let avail =
+          cols land lnot mask land (if mask land dirty <> 0 then all else dirty)
+        in
+        for v = v_lo to v_hi do
+          if avail land (1 lsl v) <> 0 then begin
+            let base_comm = base +. (delta_e /. bw_pp.(bw_row + v)) in
+            let sv = spd.(v) in
+            let col = (v * masks) + (mask lor (1 lsl v)) in
+            for e' = e + 1 to n do
+              let cand = base_comm +. ((wp.(e') -. wp_e) /. sv) in
+              let cell = (e' * m * masks) + col in
+              if cand < dp.(cell) then begin
+                dp.(cell) <- cand;
+                parent.(cell) <- code;
+                incr updates
               end
-            end
-          done
+            done
+          end
         done
       end
-    done;
-    !updates
-  in
-  let total_updates = ref 0 and layers_run = ref 0 in
-  (* Layers beyond [n] cannot host a finite cell (an interval per
-     processor needs at least one stage each), so skip them. *)
-  for k = 2 to min m n do
-    match layer.(k) with
-    | [] -> ()
-    | l ->
-        incr layers_run;
-        let jobs = Array.of_list l in
-        let counts, _stats = Pool.map ?obs ~workers relax_mask jobs in
-        Array.iter (fun c -> total_updates := !total_updates + c) counts
+    done
   done;
-  Obs.add obs "core.exact.par.dp.layers" !layers_run;
-  Obs.add obs "core.exact.par.dp.states" !total_updates;
-  (* Close against Pout — same scan order as the serial kernel. *)
+  !updates
+
+(* Close against Pout and rebuild the optimum's interval chain. *)
+let close t =
+  let { n; m; masks; delta; bw_out; dp; parent; _ } = t in
   let best = ref Float.infinity and best_u = ref (-1) and best_mask = ref 0 in
   for u = 0 to m - 1 do
-    let out = env.(off_delta + n) /. env.(off_bw_out + u) in
+    let out = delta.(n) /. bw_out.(u) in
     let row = ((n * m) + u) * masks in
     for mask = 0 to masks - 1 do
       let total = dp.(row + mask) +. out in
@@ -282,33 +155,61 @@ let min_latency_par ?(workers = 1) instance =
             (mask land lnot (1 lsl u))
             ({ Mapping.first = pe + 1; last = e; procs = [ u ] } :: acc)
     in
-    let intervals = rebuild n !best_u !best_mask [] in
-    Some (!best, Mapping.make ~n ~m intervals)
+    Some (!best, Mapping.make ~n ~m (rebuild n !best_u !best_mask []))
   end
 
+let min_latency instance =
+  let t = create ~who:"min_latency" ~owned:false instance in
+  let obs = Obs.ambient () in
+  Obs.incr obs "core.interval_dp.runs";
+  Obs.add obs "core.interval_dp.cells" (cells t);
+  let all = t.masks - 1 in
+  base_rows t ~dirty:all;
+  let updates = ref 0 in
+  for e = 1 to t.n - 1 do
+    updates := !updates + relax t ~dirty:all ~cols:all e
+  done;
+  Obs.add obs "core.interval_dp.states" !updates;
+  close t
+
+let min_latency_par ?(workers = 1) instance =
+  let t = create ~who:"min_latency_par" ~owned:false instance in
+  let obs = Obs.ambient () in
+  Obs.incr obs "core.exact.par.dp.runs";
+  Obs.add obs "core.exact.par.dp.cells" (cells t);
+  let all = t.masks - 1 in
+  base_rows t ~dirty:all;
+  let columns = Array.init t.m Fun.id and updates = ref 0 in
+  for e = 1 to t.n - 1 do
+    (* Stage e's round, one job per target processor v.  Job v writes only
+       column-v cells at stages above e and reads only stage-e cells, which
+       no job of this round writes (and every earlier round has finished),
+       so the jobs share no mutable cell.  Each target still receives its
+       candidates in (e, u) order, so values and parents are bit-identical
+       to [min_latency]'s at every worker count. *)
+    let counts, _stats =
+      Pool.map ?obs ~workers
+        (fun v -> relax t ~dirty:all ~cols:(1 lsl v) e)
+        columns
+    in
+    Array.iter (fun c -> updates := !updates + c) counts
+  done;
+  Obs.add obs "core.exact.par.dp.stages" (t.n - 1);
+  Obs.add obs "core.exact.par.dp.states" !updates;
+  close t
+
 (* ------------------------------------------------------------------ *)
-(* Resumable DP (PR 8): an owned-state twin of [min_latency] for the
-   churn engine.  A cell (e, u, mask) depends only on the pipeline and on
-   the attributes of the processors in [mask] (their speeds, their Pin
-   input links, and the links between them), so after a platform
-   perturbation every cell whose mask avoids the touched processors is
-   carried over bit-for-bit from the previous table; only cells naming a
-   dirty processor are recomputed — by the {e same} loop nest in the same
-   iteration order, so values and tie-breaking parents land exactly where
-   a cold solve would put them (the churn-incremental fuzz oracle checks
+(* Resumable DP for the churn engine.  A cell (e, u, mask) depends only
+   on the pipeline and on the attributes of the processors in [mask]
+   (their speeds, their Pin input links, and the links between them), so
+   after a platform perturbation every cell whose mask avoids the touched
+   processors is carried over bit-for-bit from the previous table; only
+   cells naming a dirty processor are recomputed — by the same kernel in
+   the same order, so values and tie-breaking parents land exactly where a
+   cold solve would put them (the churn-incremental fuzz oracle checks
    warm == cold on every event of random traces). *)
 module Dp = struct
-  type state = {
-    st_n : int;
-    st_m : int;
-    st_wp : float array;
-    st_delta : float array;
-    st_spd : float array;
-    st_bw_in : float array;
-    st_bw_pp : float array;
-    st_dp : float array;
-    st_parent : int array;
-  }
+  type state = table
 
   type reuse = { cells_reused : int; cells_total : int }
 
@@ -321,8 +222,9 @@ module Dp = struct
      defined entries — relative iteration order is what makes previous
      tie-breaking decisions identical to a cold solve's — otherwise
      everything is treated as dirty. *)
-  let dirty_set ~prev ~prev_of ~n ~m ~wp ~delta ~spd ~bw_in ~bw_pp =
-    let full = (1 lsl m) - 1 in
+  let dirty_set ~prev ~prev_of t =
+    let m = t.m in
+    let full = t.masks - 1 in
     let arrays_eq a b =
       Array.length a = Array.length b
       && (let ok = ref true in
@@ -330,17 +232,17 @@ module Dp = struct
           !ok)
     in
     if
-      prev.st_n <> n
+      prev.n <> t.n
       || Array.length prev_of <> m
-      || not (arrays_eq prev.st_wp wp)
-      || not (arrays_eq prev.st_delta delta)
+      || not (arrays_eq prev.wp t.wp)
+      || not (arrays_eq prev.delta t.delta)
     then full
     else begin
       let monotone = ref true and last = ref (-1) in
       Array.iter
         (fun p ->
           if p >= 0 then begin
-            if p <= !last || p >= prev.st_m then monotone := false;
+            if p <= !last || p >= prev.m then monotone := false;
             last := p
           end)
         prev_of;
@@ -351,8 +253,8 @@ module Dp = struct
           let p = prev_of.(u) in
           let clean_base =
             p >= 0
-            && bits_eq spd.(u) prev.st_spd.(p)
-            && bits_eq bw_in.(u) prev.st_bw_in.(p)
+            && bits_eq t.spd.(u) prev.spd.(p)
+            && bits_eq t.bw_in.(u) prev.bw_in.(p)
           in
           if not clean_base then dirty := !dirty lor (1 lsl u)
         done;
@@ -367,8 +269,8 @@ module Dp = struct
                 if
                   not
                     (bits_eq
-                       bw_pp.((u * m) + v)
-                       prev.st_bw_pp.((pu * prev.st_m) + pv))
+                       t.bw_pp.((u * m) + v)
+                       prev.bw_pp.((pu * prev.m) + pv))
                 then dirty := !dirty lor (1 lsl u) lor (1 lsl v)
               end
             done
@@ -377,188 +279,74 @@ module Dp = struct
       end
     end
 
-  let solve ?warm instance =
-    let { Instance.pipeline; platform } = instance in
-    let n = Pipeline.length pipeline and m = Platform.size platform in
-    if m > max_procs then
-      invalid_arg "Interval_exact.Dp.solve: too many processors (cap 14)";
-    let masks = 1 lsl m in
-    let wp = Pipeline.work_prefixes pipeline in
-    let delta = Array.init (n + 1) (Pipeline.delta pipeline) in
-    let spd = Array.init m (Platform.speed platform) in
-    let bw_in =
-      Array.init m (fun u ->
-          Platform.bandwidth platform Platform.Pin (Platform.Proc u))
-    in
-    let bw_out =
-      Array.init m (fun u ->
-          Platform.bandwidth platform (Platform.Proc u) Platform.Pout)
-    in
-    let bw_pp = Array.make (m * m) 0.0 in
-    for u = 0 to m - 1 do
-      for v = 0 to m - 1 do
-        if u <> v then
-          bw_pp.((u * m) + v) <-
-            Platform.bandwidth platform (Platform.Proc u) (Platform.Proc v)
-      done
-    done;
-    let dirty_mask =
-      match warm with
-      | None -> masks - 1
-      | Some (prev, prev_of) ->
-          dirty_set ~prev ~prev_of ~n ~m ~wp ~delta ~spd ~bw_in ~bw_pp
-    in
-    let cells = (n + 1) * m * masks in
-    let dp = Array.make cells Float.infinity in
-    let parent = Array.make cells (-1) in
-    (* Carry over every clean cell from the previous table. *)
+  (* Copy every cell whose mask lies in [clean] from the previous table,
+     translating indices; returns the number of cells carried. *)
+  let carry ~prev ~prev_of ~clean t =
+    let { n; m; masks; dp; parent; _ } = t in
+    let cur_of_prev = Array.make prev.m (-1) in
+    Array.iteri (fun u p -> if p >= 0 then cur_of_prev.(p) <- u) prev_of;
     let reused = ref 0 in
-    (match warm with
-    | None -> ()
-    | Some (prev, prev_of) ->
-        let clean_set = (masks - 1) land lnot dirty_mask in
-        if clean_set <> 0 || dirty_mask <> masks - 1 then begin
-          let cur_of_prev = Array.make prev.st_m (-1) in
-          Array.iteri
-            (fun u p -> if p >= 0 then cur_of_prev.(p) <- u)
-            prev_of;
-          let prev_masks = 1 lsl prev.st_m in
-          let sub = ref clean_set in
-          let continue_ = ref true in
-          while !continue_ do
-            let cmask = !sub in
-            if cmask <> 0 then begin
-              (* Translate the mask into the previous index space. *)
-              let pmask = ref 0 in
-              for u = 0 to m - 1 do
-                if cmask land (1 lsl u) <> 0 then
-                  pmask := !pmask lor (1 lsl prev_of.(u))
-              done;
-              let pmask = !pmask in
-              for u = 0 to m - 1 do
-                if cmask land (1 lsl u) <> 0 then begin
-                  let pu = prev_of.(u) in
-                  for e = 1 to n do
-                    let cell = (((e * m) + u) * masks) + cmask in
-                    let pcell = (((e * prev.st_m) + pu) * prev_masks) + pmask in
-                    dp.(cell) <- prev.st_dp.(pcell);
-                    (match prev.st_parent.(pcell) with
-                    | -1 -> ()
-                    | code ->
-                        let pe = code / prev.st_m and pv = code mod prev.st_m in
-                        parent.(cell) <- (pe * m) + cur_of_prev.(pv));
-                    incr reused
-                  done
-                end
-              done
-            end;
-            if cmask = 0 then continue_ := false
-            else sub := (cmask - 1) land clean_set
-          done
-        end);
-    (* Base rows for dirty processors (clean ones were carried over). *)
-    for v = 0 to m - 1 do
-      if dirty_mask land (1 lsl v) <> 0 then begin
-        let input = delta.(0) /. bw_in.(v) in
-        let sv = spd.(v) in
-        let cell = 1 lsl v in
-        for e = 1 to n do
-          dp.((((e * m) + v) * masks) + cell) <- input +. ((wp.(e) -. wp.(0)) /. sv)
-        done
-      end
-    done;
-    (* The cold loop nest, skipping relaxations into clean targets: a
-       clean target already holds its final (previous == cold) value, and
-       every dirty target receives exactly the cold sequence of candidate
-       updates because sources at stage e are final when the outer loop
-       reaches e. *)
-    for e = 1 to n - 1 do
-      let delta_e = delta.(e) in
-      let wp_e = wp.(e) in
+    let sub = ref clean in
+    while !sub <> 0 do
+      let cmask = !sub in
+      (* Translate the mask into the previous index space. *)
+      let pmask = ref 0 in
       for u = 0 to m - 1 do
-        let row = ((e * m) + u) * masks in
-        let bw_row = u * m in
-        for mask = 0 to masks - 1 do
-          let base = dp.(row + mask) in
-          if Float.is_finite base then
-            for v = 0 to m - 1 do
-              if
-                mask land (1 lsl v) = 0
-                && (mask lor (1 lsl v)) land dirty_mask <> 0
-              then begin
-                let comm = delta_e /. bw_pp.(bw_row + v) in
-                let nmask = mask lor (1 lsl v) in
-                let sv = spd.(v) in
-                let base_comm = base +. comm in
-                let col = (v * masks) + nmask in
-                for e' = e + 1 to n do
-                  let cand = base_comm +. ((wp.(e') -. wp_e) /. sv) in
-                  let cell = (e' * m * masks) + col in
-                  if cand < dp.(cell) then begin
-                    dp.(cell) <- cand;
-                    parent.(cell) <- (e * m) + u
-                  end
-                done
-              end
-            done
-        done
-      done
-    done;
-    let best = ref Float.infinity and best_u = ref (-1) and best_mask = ref 0 in
-    for u = 0 to m - 1 do
-      let out = delta.(n) /. bw_out.(u) in
-      let row = ((n * m) + u) * masks in
-      for mask = 0 to masks - 1 do
-        let total = dp.(row + mask) +. out in
-        if total < !best then begin
-          best := total;
-          best_u := u;
-          best_mask := mask
+        if cmask land (1 lsl u) <> 0 then
+          pmask := !pmask lor (1 lsl prev_of.(u))
+      done;
+      for u = 0 to m - 1 do
+        if cmask land (1 lsl u) <> 0 then begin
+          let pu = prev_of.(u) in
+          for e = 1 to n do
+            let cell = (((e * m) + u) * masks) + cmask in
+            let pcell = (((e * prev.m) + pu) * prev.masks) + !pmask in
+            dp.(cell) <- prev.dp.(pcell);
+            (match prev.parent.(pcell) with
+            | -1 -> ()
+            | code ->
+                let pe = code / prev.m and pv = code mod prev.m in
+                parent.(cell) <- (pe * m) + cur_of_prev.(pv));
+            incr reused
+          done
         end
-      done
+      done;
+      sub := (cmask - 1) land clean
     done;
-    let state =
-      {
-        st_n = n;
-        st_m = m;
-        st_wp = wp;
-        st_delta = delta;
-        st_spd = spd;
-        st_bw_in = bw_in;
-        st_bw_pp = bw_pp;
-        st_dp = dp;
-        st_parent = parent;
-      }
+    !reused
+
+  let solve ?warm instance =
+    let t = create ~who:"Dp.solve" ~owned:true instance in
+    let all = t.masks - 1 in
+    let dirty, reused =
+      match warm with
+      | None -> (all, 0)
+      | Some (prev, prev_of) ->
+          let dirty = dirty_set ~prev ~prev_of t in
+          let clean = all land lnot dirty in
+          (dirty, if clean = 0 then 0 else carry ~prev ~prev_of ~clean t)
     in
-    let reuse = { cells_reused = !reused; cells_total = n * m * (masks / 2) } in
-    if not (Float.is_finite !best) then (None, state, reuse)
-    else begin
-      let rec rebuild e u mask acc =
-        match parent.((((e * m) + u) * masks) + mask) with
-        | -1 -> { Mapping.first = 1; last = e; procs = [ u ] } :: acc
-        | code ->
-            let pe = code / m and pu = code mod m in
-            rebuild pe pu
-              (mask land lnot (1 lsl u))
-              ({ Mapping.first = pe + 1; last = e; procs = [ u ] } :: acc)
-      in
-      let intervals = rebuild n !best_u !best_mask [] in
-      (Some (!best, Mapping.make ~n ~m intervals), state, reuse)
-    end
+    base_rows t ~dirty;
+    for e = 1 to t.n - 1 do
+      ignore (relax t ~dirty ~cols:all e : int)
+    done;
+    let reuse =
+      { cells_reused = reused; cells_total = t.n * t.m * (t.masks / 2) }
+    in
+    (close t, t, reuse)
 
   (* Read-only views for certificate emission (lib/core/certify.ml): the
      checker in lib/cert never sees this module, only the numbers. *)
-  let dims state = (state.st_n, state.st_m)
+  let dims t = (t.n, t.m)
 
-  let fold_finite_cells state ~init ~f =
-    let n = state.st_n and m = state.st_m in
-    let masks = 1 lsl m in
+  let fold_finite_cells t ~init ~f =
+    let { n; m; masks; dp; _ } = t in
     let acc = ref init in
     for e = 1 to n do
       for u = 0 to m - 1 do
         let row = ((e * m) + u) * masks in
         for mask = 1 to masks - 1 do
-          let value = state.st_dp.(row + mask) in
+          let value = dp.(row + mask) in
           if Float.is_finite value then acc := f !acc ~e ~u ~mask value
         done
       done

@@ -12,8 +12,11 @@
     how much the interval restriction costs relative to Theorem 4's
     general mappings (experiment E19).
 
-    The DP runs over domain-local reusable flat tables and a prefix-sum
-    snapshot of the instance (PR 5); results are pinned bit-for-bit to the
+    {!min_latency}, {!min_latency_par} and {!Dp.solve} are three schedules
+    of one push-style relaxation kernel over a prefix-sum snapshot of the
+    instance: serial, stage by stage over the pool, and serial restricted
+    to the cells a platform change touched.  The first two reuse
+    domain-local flat tables; results are pinned bit-for-bit to the
     original implementation kept in {!Reference}. *)
 
 open Relpipe_model
@@ -31,19 +34,22 @@ val min_latency : Instance.t -> (float * Mapping.t) option
 
 val min_latency_par :
   ?workers:int -> Instance.t -> (float * Mapping.t) option
-(** Layer-parallel twin of {!min_latency} over the {!Relpipe_pool.Pool}
-    domains.  The DP table decomposes into independent relaxation layers
-    by mask popcount — every cell's predecessors live one layer down — so
-    each layer is recomputed pull-style, one pool job per mask, with a
-    join between layers.  Each cell replays the serial nest's candidate
-    order (source stage ascending, then source processor ascending) with
-    the same strict-< update, so the value {e and} the tie-breaking
+(** Parallel twin of {!min_latency} over the {!Relpipe_pool.Pool}
+    domains.  Every relaxation leaves a cell at a lower stage than it
+    enters, so the table is filled stage by stage: for each source stage
+    [e], one pool job per target processor [v] pushes every stage-[e]
+    cell into [v]'s cells at later stages, with a join between stages.
+    Jobs of one stage read only stage-[e] cells and write disjoint
+    columns, and each cell receives the serial kernel's candidates in the
+    same order (source stage ascending, then source processor ascending)
+    with the same strict-< update, so the value {e and} the tie-breaking
     parent chain are bit-identical to {!min_latency} at every worker
     count — deterministic structurally, not just observably
     (test/test_par_exact.ml and the [par-exact-identity] fuzz oracle).
 
     Records the deterministic [core.exact.par.dp.*] counters (runs,
-    cells, layers, states) plus the pool's own metrics.
+    cells, stages, states) plus the pool's own metrics; the [(n-1) * m]
+    jobs do not depend on [workers].
     @raise Invalid_argument when [m > max_procs]. *)
 
 val interval_vs_general_gap : Instance.t -> float
@@ -51,15 +57,15 @@ val interval_vs_general_gap : Instance.t -> float
     of the interval restriction on this instance. *)
 
 (** Resumable twin of {!min_latency} for incremental re-solving under
-    platform churn (PR 8).
+    platform churn.
 
     A DP cell [(e, u, mask)] depends only on the pipeline and on the
     attributes of the processors in [mask] (speeds, input links, links
     within the set) — never on processors outside it, and the output link
     only enters the final closing scan, which is always recomputed.  A
     warm solve therefore carries over, bit-for-bit, every cell whose mask
-    avoids the processors touched by an event, and re-runs the identical
-    loop nest only on the rest, so its answer is byte-identical to a cold
+    avoids the processors touched by an event, and re-runs the same
+    kernel only on the rest, so its answer is byte-identical to a cold
     solve's (the [churn-incremental] fuzz oracle and
     [test/test_churn.ml] pin this). *)
 module Dp : sig

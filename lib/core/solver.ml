@@ -72,7 +72,7 @@ let auto ~exact_budget instance objective =
 let dispatch ~method_ ~exact_budget instance objective =
   match method_ with
   | Auto -> auto ~exact_budget instance objective
-  | Exact_enum -> Exact.solve instance objective
+  | Exact_enum -> Exact.solve ~budget:exact_budget instance objective
   | Polynomial -> polynomial instance objective
   | Heuristic name -> Heuristics.run name instance objective
   | Portfolio -> Heuristics.best_of instance objective

@@ -19,7 +19,7 @@ open Relpipe_model
 
 type method_ =
   | Auto  (** the dispatch described above *)
-  | Exact_enum  (** {!Exact.solve} regardless of size (may raise) *)
+  | Exact_enum  (** {!Exact.solve} regardless of size, within the budget *)
   | Polynomial  (** Algorithms 1-4; [Not_applicable] otherwise *)
   | Heuristic of Heuristics.name
   | Portfolio  (** {!Heuristics.best_of} *)
@@ -47,8 +47,9 @@ val run :
   (Solution.t option, error) result
 (** Solve with a typed outcome.  [Ok None] means no feasible mapping was
     found (a definitive answer for the optimal methods, best effort for
-    heuristics).  [exact_budget] bounds the mapping enumeration Auto may
-    attempt (default [200_000]). *)
+    heuristics).  [exact_budget] bounds the mapping enumeration Auto and
+    Exact_enum may attempt (default [200_000]); Exact_enum beyond it is
+    [Error (Too_large _)]. *)
 
 val solve :
   ?method_:method_ ->

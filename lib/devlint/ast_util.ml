@@ -22,7 +22,7 @@ let expr_path (e : Parsetree.expression) =
   | Parsetree.Pexp_ident { txt; _ } -> path_of_ident txt
   | _ -> None
 
-(* Last [n] dot-separated components of a path ("Relpipe_service.Pool.map"
+(* Last [n] dot-separated components of a path ("Relpipe_pool.Pool.map"
    with n = 2 gives "Pool.map"); the whole path when it is shorter. *)
 let path_suffix n path =
   let segs = String.split_on_char '.' path in

@@ -38,7 +38,7 @@ let r_domain_self =
       "Domain identifiers depend on spawn order and worker count; a value \
        derived from Domain.self can differ across --workers settings, \
        violating the cross-worker byte-identity contract.  Index jobs by \
-       submission order instead (as Service.Pool does)."
+       submission order instead (as Relpipe_pool.Pool does)."
     ~example:"let tag = (Domain.self () :> int)"
 
 let r_hashtbl_order =

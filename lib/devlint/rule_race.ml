@@ -1,6 +1,6 @@
 (* Family "race": the lightweight static race gate ahead of the parallel
    B&B roadmap item.  It finds closures that run on other domains —
-   arguments of Service.Pool.map and Domain.spawn, either written inline
+   arguments of Pool.map and Domain.spawn, either written inline
    or [let]-bound in the same file — and flags writes to mutable state
    the closure does not itself bind: [r := e] / incr / decr, mutable
    field assignment, Array/Bytes element writes (the [a.(i) <- v] sugar
@@ -28,7 +28,7 @@ let r_shared_write =
   rule ~id:"RP-S301" ~severity:Drule.Severity.Error
     ~title:"unsynchronized shared write in a parallel closure"
     ~rationale:
-      "A closure submitted to Service.Pool or Domain.spawn runs \
+      "A closure submitted to Pool.map or Domain.spawn runs \
        concurrently with its creator; writing a ref, mutable field, array \
        slot or Hashtbl it captured is a data race under OCaml 5's memory \
        model unless the access goes through Atomic, a Mutex, or a \

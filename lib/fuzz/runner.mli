@@ -3,7 +3,7 @@
     A campaign is fully determined by its {!config}: per-case seeds are
     drawn sequentially from the master stream, each oracle derives its
     private stream from the (case seed, oracle salt) pair, checking runs
-    through {!Relpipe_service.Pool.map} (submission-order results), and
+    through {!Relpipe_pool.Pool.map} (submission-order results), and
     shrinking is sequential in case order — so {!render} output is
     byte-identical across runs and worker counts. *)
 

@@ -5,6 +5,7 @@ module Lru = Relpipe_util.Lru
 module Analysis = Relpipe_analysis.Analysis
 module Diagnostic = Relpipe_analysis.Diagnostic
 module Obs = Relpipe_obs.Obs
+module Pool = Relpipe_pool.Pool
 
 (* A cache entry is the representative's full solve outcome plus the
    permutation that canonicalized its platform, so hits on symmetric

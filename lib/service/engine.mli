@@ -13,7 +13,7 @@
       up in the LRU result cache; group unresolved duplicates behind the
       first request with that key (a {e shared} hit);
     + {b solve} (parallel) — run [Solver.run] once per unique miss on the
-      {!Pool};
+      {!Relpipe_pool.Pool};
     + {b emit} (sequential) — populate the cache in job order, re-index
       cached mappings through {!Canon.translate} for symmetric hits, and
       encode responses in submission order.
@@ -35,12 +35,12 @@ val create :
   ?exact_budget:int ->
   unit ->
   t
-(** [workers] defaults to {!Pool.cpu_count}[ ()] and is clamped by
-    [min(requested, cpu_count)] unless [cap_to_cpus] is [false] (testing:
-    oversubscribe a small machine).  [cache_capacity] (default [1024])
-    bounds the LRU; [cache_shards] (default [1]) splits it into that many
-    independently locked shards ({!Relpipe_util.Lru.Sharded}) so a serve
-    daemon can share one engine across concurrent sessions — with one
+(** [workers] defaults to {!Relpipe_pool.Pool.cpu_count}[ ()] and is
+    clamped by [min(requested, cpu_count)] unless [cap_to_cpus] is [false]
+    (testing: oversubscribe a small machine).  [cache_capacity] (default
+    [1024]) bounds the LRU; [cache_shards] (default [1]) splits it into
+    that many independently locked shards ({!Relpipe_util.Lru.Sharded}) so
+    a serve daemon can share one engine across concurrent sessions — with one
     shard the hit/miss/eviction sequence is exactly the historical
     single-cache behaviour; [exact_budget] (default [200_000]) is used
     when a request carries none.

@@ -219,6 +219,45 @@ let test_dp_reuse_accounting () =
   check_dp_eq "no-op repeats the optimum" dp_w
     (Interval_exact.min_latency (World.instance world))
 
+(* Whole tables, not just optima: at every event of seeded traces
+   (n, m in 4..7), every finite cell of the warm table equals the cold
+   table's bit for bit, and both hold the same number of finite cells —
+   a cell wrongly carried over or skipped off the optimal path shows
+   here even when the optimum is right. *)
+let test_dp_warm_tables_match_cold () =
+  let finite_cells st =
+    Interval_exact.Dp.fold_finite_cells st ~init:[]
+      ~f:(fun cells ~e ~u ~mask v ->
+        (e, u, mask, Int64.bits_of_float v) :: cells)
+  in
+  let same_cell (e, u, mask, b) (e', u', mask', b') =
+    Int.equal e e' && Int.equal u u' && Int.equal mask mask' && Int64.equal b b'
+  in
+  for seed = 0 to 23 do
+    let rng = Helpers.rng_of_seed (0x7AB + seed) in
+    let n = 4 + Rng.int rng 4 and m = 4 + Rng.int rng 4 in
+    let world = World.of_instance (Helpers.random_fully_hetero rng ~n ~m) in
+    let events = Driver.trace ~cap:7 ~seed ~count:20 world in
+    let _, st0, _ = Interval_exact.Dp.solve (World.instance world) in
+    ignore
+      (List.fold_left
+         (fun (world, prev, i) event ->
+           let world', prev_of = World.apply world event in
+           let instance = World.instance world' in
+           let _, warm, _ =
+             Interval_exact.Dp.solve ~warm:(prev, prev_of) instance
+           in
+           let _, cold, _ = Interval_exact.Dp.solve instance in
+           let wcells = finite_cells warm and ccells = finite_cells cold in
+           let tag = Printf.sprintf "seed %d event %d" seed i in
+           check_int (tag ^ ": finite cell count") (List.length ccells)
+             (List.length wcells);
+           check_bool (tag ^ ": every finite cell") true
+             (List.equal same_cell wcells ccells);
+           (world', warm, i + 1))
+         (world, st0, 0) events)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Engine: hand-computed 3-event scenario                              *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +481,8 @@ let () =
         [
           test "cold solve matches both twins" test_dp_cold_matches_twins;
           test "reuse accounting" test_dp_reuse_accounting;
+          test "warm tables equal cold tables cell by cell"
+            test_dp_warm_tables_match_cold;
         ] );
       ( "engine",
         [

@@ -15,18 +15,30 @@ let same_float name a b =
   if not (Int64.equal (bits a) (bits b)) then
     Alcotest.failf "%s: %.17g is not bit-identical to %.17g" name a b
 
+(* All three schedules of the interval-DP kernel — serial, parallel and
+   the churn engine's (here cold) resumable solve — against the twin. *)
 let check_interval inst =
-  match
-    ( Interval_exact.min_latency inst,
-      Reference.interval_min_latency_reference inst )
-  with
-  | None, None -> ()
-  | Some _, None -> Alcotest.fail "interval: optimized solved, reference did not"
-  | None, Some _ -> Alcotest.fail "interval: reference solved, optimized did not"
-  | Some (l1, m1), Some (l2, m2) ->
-      same_float "interval latency" l1 l2;
-      if not (Mapping.equal m1 m2) then
-        Alcotest.fail "interval mapping differs from reference"
+  let reference = Reference.interval_min_latency_reference inst in
+  List.iter
+    (fun (name, solve) ->
+      match (solve inst, reference) with
+      | None, None -> ()
+      | Some _, None ->
+          Alcotest.failf "%s: optimized solved, reference did not" name
+      | None, Some _ ->
+          Alcotest.failf "%s: reference solved, optimized did not" name
+      | Some (l1, m1), Some (l2, m2) ->
+          same_float (name ^ " latency") l1 l2;
+          if not (Mapping.equal m1 m2) then
+            Alcotest.failf "%s mapping differs from reference" name)
+    [
+      ("interval", Interval_exact.min_latency);
+      ("interval par", Interval_exact.min_latency_par ~workers:2);
+      ( "interval Dp.solve",
+        fun i ->
+          let r, _, _ = Interval_exact.Dp.solve i in
+          r );
+    ]
 
 let check_general inst =
   let l1, a1 = General_mapping.solve_dp inst in

@@ -5,6 +5,7 @@
 
 open Relpipe_model
 open Relpipe_service
+module Pool = Relpipe_pool.Pool
 module Rng = Relpipe_util.Rng
 module Lru = Relpipe_util.Lru
 
@@ -509,6 +510,45 @@ let test_engine_instance_file () =
   | Protocol.Failed _ -> ()
   | _ -> Alcotest.fail "missing file must fail per-request"
 
+(* A request's "budget" enters its cache key, so the exact solver must
+   enforce it too: an exact request over its budget is refused with the
+   solver's Too_large error, and the same request with room is solved. *)
+let test_engine_exact_budget () =
+  let engine = Engine.create ~workers:1 () in
+  let inst = Helpers.random_fully_hetero (Rng.create 61) ~n:3 ~m:3 in
+  let mappings = Relpipe_core.Exact.count_mappings ~n:3 ~m:3 () in
+  let loose = Instance.Min_failure { max_latency = 1e6 } in
+  let outcome budget =
+    let line =
+      Protocol.encode_request
+        (Protocol.request ~id:"exact" ~budget
+           ~method_:Relpipe_core.Solver.Exact_enum
+           ~instance:(Protocol.Inline (Textio.to_string inst))
+           loose)
+    in
+    match Engine.run_lines engine [ line ] with
+    | [ reply ] -> (
+        match Protocol.decode_response reply with
+        | Ok r -> r.Protocol.r_outcome
+        | Error e -> Alcotest.failf "undecodable response %S: %s" reply e)
+    | _ -> Alcotest.fail "expected one response"
+  in
+  (match
+     Relpipe_core.Solver.run ~method_:Relpipe_core.Solver.Exact_enum
+       ~exact_budget:(mappings - 1) inst loose
+   with
+  | Error (Relpipe_core.Solver.Too_large _ as e) -> (
+      match outcome (mappings - 1) with
+      | Protocol.Failed msg ->
+          check_str "refused as too large"
+            (Relpipe_core.Solver.error_to_string e)
+            msg
+      | _ -> Alcotest.fail "an exact request over its budget must be refused")
+  | _ -> Alcotest.fail "Solver.run must refuse an exact solve over budget");
+  match outcome mappings with
+  | Protocol.Solved _ -> ()
+  | _ -> Alcotest.fail "an exact request within its budget must be solved"
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -560,5 +600,6 @@ let () =
           test "cache across batches" test_engine_cache_across_batches;
           test "lru eviction bounds the cache" test_engine_eviction;
           test "instance_file sources" test_engine_instance_file;
+          test "exact requests honour their budget" test_engine_exact_budget;
         ] );
     ]

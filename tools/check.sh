@@ -201,19 +201,23 @@ grep -q "verify:  warm == cold on 21 steps" "$tmp/churn-verify.out" || {
   echo "check.sh: churn --verify did not confirm all 21 steps" >&2; exit 1; }
 
 echo "== relpipe exact: parallel == serial byte-diff smoke =="
-# The probe+confirm parallel B&B and the layer-parallel interval DP must
-# print byte-identical answers — hex float bits included — at every
-# worker count.
-for leg in bb dp; do
-  "$relpipe" exact -i examples/instances/fig5.relpipe -F 0.5 --leg "$leg" \
-    --serial > "$tmp/exact-$leg-serial.out"
+# The probe+confirm parallel B&B and the stage-by-stage parallel
+# interval DP (one pool job per target processor and stage) must print
+# byte-identical answers — hex float bits included — at every worker
+# count.  fig5 (n=2) is a single DP stage; federation (n=7, m=12, the
+# largest shipped instance under the DP's 14-processor cap) runs six.
+for run in bb:fig5 dp:fig5 dp:federation; do
+  leg=${run%%:*}
+  f=${run#*:}
+  "$relpipe" exact -i "examples/instances/$f.relpipe" -F 0.5 --leg "$leg" \
+    --serial > "$tmp/exact-$leg-$f-serial.out"
   for w in 2 8; do
-    "$relpipe" exact -i examples/instances/fig5.relpipe -F 0.5 --leg "$leg" \
-      -w "$w" > "$tmp/exact-$leg-w$w.out"
-    if ! diff -q "$tmp/exact-$leg-serial.out" "$tmp/exact-$leg-w$w.out" \
+    "$relpipe" exact -i "examples/instances/$f.relpipe" -F 0.5 --leg "$leg" \
+      -w "$w" > "$tmp/exact-$leg-$f-w$w.out"
+    if ! diff -q "$tmp/exact-$leg-$f-serial.out" "$tmp/exact-$leg-$f-w$w.out" \
       >/dev/null; then
-      echo "check.sh: exact --leg $leg differs between --serial and -w $w" >&2
-      diff "$tmp/exact-$leg-serial.out" "$tmp/exact-$leg-w$w.out" >&2 || true
+      echo "check.sh: exact --leg $leg on $f differs between --serial and -w $w" >&2
+      diff "$tmp/exact-$leg-$f-serial.out" "$tmp/exact-$leg-$f-w$w.out" >&2 || true
       exit 1
     fi
   done
