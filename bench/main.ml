@@ -458,7 +458,10 @@ let run_par ~clock () =
         let ns_ser, ci_ser, _, _ = measure_kernel ~clock ~rng ser in
         let ns_par, ci_par, _, _ = measure_kernel ~clock ~rng par in
         let _, sstats = Bb.solve_with_stats inst obj in
-        let _, pstats = Bb.solve_par_with_stats ~workers inst obj in
+        (* Node counts come from the one-worker run: at [workers] > 1 the
+           probe and confirm counts depend on scheduling, and the
+           virtual-clock report must stay byte-identical. *)
+        let _, pstats = Bb.solve_par_with_stats ~workers:1 inst obj in
         {
           p_kernel = kernel;
           p_shape = shape;

@@ -16,15 +16,23 @@
     (the E16 ablation quantifies the gap).  Still worst-case exponential:
     the problems are NP-hard (Theorem 7).
 
-    The search prices intervals from a flat prefix-sum/bandwidth snapshot
-    and memoizes per-replication-set bounds (slowest speed, input sends,
-    interval failure) in workspace tables reset at every solve (PR 5).
-    Node counts are an implementation detail and may drift across
-    versions; the returned solution is pinned bit-for-bit to the original
-    implementation kept in {!Reference}. *)
+    Every entry point runs one search over two values.  The {e snapshot},
+    built once per call and read-only after, holds the instance as flat
+    prefix-sum/speed/bandwidth arrays plus three per-replication-set
+    tables (slowest speed, input sends, interval failure) filled up front
+    for up to 16 processors.  The {e search state} holds the incumbent,
+    its bound cell, a node budget, the counters and, when recording, the
+    transcript.  {!solve_with_stats}, {!solve_recorded}, each probe task
+    of {!solve_par} and its confirm pass differ only in the state they
+    start from; the probe tasks and the confirm pass share one snapshot.
+
+    The returned solution is pinned bit-for-bit to the original
+    implementation kept in {!Reference}.  Node counts, probe counts and
+    certificate transcripts are not part of that contract, but
+    test/snapshots/bb-search.snap pins them on seeded cases, so any
+    change to them is a deliberate snapshot update. *)
 
 open Relpipe_model
-module B = Relpipe_util.Bitset
 
 type stats = { nodes : int; evaluated : int; pruned : int }
 (** Search effort: decision nodes expanded, complete mappings evaluated,
@@ -101,14 +109,15 @@ val solve_par :
     two phases.  {b Probe}: the root frontier — every (first interval,
     replication set) decision, best-first by its objective lower bound —
     is distributed over [workers] domains; each task runs a node-budgeted
-    depth-first search sharing one atomic incumbent cell ({!Bound}), into
-    which every completed feasible mapping publishes its
-    {!inflate_bound}-inflated objective, cutting dominated subtrees on
-    all domains at once.  {b Confirm}: one serial pass under the probe's
-    final bound.  Because the cell only ever holds sound inflated upper
-    bounds, the [?prune_above] contract of {!solve} applies and the
-    answer is {e bit-identical to the serial solve at every worker count}
-    — including mapping tie-breaks — while only node counts vary.
+    depth-first search over the call's one snapshot, sharing one atomic
+    incumbent cell ({!Bound}), into which every completed feasible
+    mapping publishes its {!inflate_bound}-inflated objective, cutting
+    dominated subtrees on all domains at once.  {b Confirm}: one serial
+    pass over the same snapshot under the probe's final bound.  Because
+    the cell only ever holds sound inflated upper bounds, the
+    [?prune_above] contract of {!solve} applies and the answer is
+    {e bit-identical to the serial solve at every worker count} —
+    including mapping tie-breaks — while only node counts vary.
     test/test_par_exact.ml and the [par-exact-identity] fuzz oracle pin
     this at workers 1/2/8.
 
@@ -127,30 +136,14 @@ val solve_par_with_stats :
 
 (** {1 Recorded solve (certificate emission)} *)
 
-module Record : sig
-  type reason =
-    | Threshold  (** a latency/failure threshold is already unreachable *)
-    | Dominated
-        (** the objective lower bound cannot beat the incumbent, whose
-            objective upper-bounds the optimum *)
-
-  type status =
-    | Expanded
-    | Evaluated of { latency : float; failure : float }
-    | Pruned of { reason : reason; latency_lb : float; partial_failure : float }
-
-  type node = { path : (int * int * B.t) list; status : status }
-  (** One search node: the (first, last, replication set) intervals chosen
-      so far, in stage order, and what the search did there. *)
-end
-
 val solve_recorded :
   Instance.t ->
   Instance.objective ->
-  Solution.t option * stats * Record.node list
-(** Serial solve that also returns the full search transcript, one entry
-    per node in depth-first preorder, with every recorded number exactly
-    the float the search computed.  Runs unbounded (no [?prune_above]) so
-    each [Dominated] entry is justified by the incumbent alone — which is
-    what the independent certificate checker in [lib/cert] re-derives.
-    The transcript is the raw material for {!Certify.bb}. *)
+  Solution.t option * Relpipe_cert.Cert.node list
+(** Serial solve that also returns the full search transcript, one
+    certificate node per search node in depth-first preorder, with every
+    recorded number exactly the float the search computed.  Runs unbounded
+    (no [?prune_above]) so each [Dominated] entry is justified by the
+    incumbent alone — which is what the independent certificate checker
+    in [lib/cert] re-derives.  The transcript is the raw material for
+    {!Certify.bb}. *)

@@ -1,6 +1,5 @@
 open Relpipe_model
 module Cert = Relpipe_cert.Cert
-module B = Relpipe_util.Bitset
 module Obs = Relpipe_obs.Obs
 
 let digest instance =
@@ -10,26 +9,8 @@ let dims instance =
   ( Pipeline.length instance.Instance.pipeline,
     Platform.size instance.Instance.platform )
 
-let cert_status = function
-  | Bb.Record.Expanded -> Cert.Expanded
-  | Bb.Record.Evaluated { latency; failure } ->
-      Cert.Evaluated { latency; failure }
-  | Bb.Record.Pruned { reason; latency_lb; partial_failure } ->
-      let reason =
-        match reason with
-        | Bb.Record.Threshold -> Cert.Threshold
-        | Bb.Record.Dominated -> Cert.Dominated
-      in
-      Cert.Pruned { reason; latency_lb; partial_failure }
-
-let cert_path path =
-  List.map
-    (fun (first, last, procs) ->
-      { Mapping.first; last; procs = B.elements procs })
-    path
-
 let bb instance objective =
-  let best, _stats, log = Bb.solve_recorded instance objective in
+  let best, nodes = Bb.solve_recorded instance objective in
   let n, m = dims instance in
   let claim =
     match best with
@@ -41,12 +22,6 @@ let bb instance objective =
             failure = s.Solution.evaluation.Instance.failure;
             mapping = Mapping.intervals s.Solution.mapping;
           }
-  in
-  let nodes =
-    List.map
-      (fun { Bb.Record.path; status } ->
-        { Cert.path = cert_path path; status = cert_status status })
-      log
   in
   let cert =
     {

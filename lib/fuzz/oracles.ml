@@ -671,7 +671,7 @@ let check_par_exact ctx _rng (case : Gen.case) =
             not (Mapping.equal p.Core.Solution.mapping s.Core.Solution.mapping)
           then failf "B&B workers=%d: mapping differs from serial" workers)
     [ 1; 2; 8 ];
-  (* Interval DP: the layer-parallel twin, under the kernel's own memory
+  (* Interval DP: the stage-parallel twin, under the kernel's own memory
      guard.  Values and tie-breaking parents are pinned structurally by
      test_par_exact; here only the returned optimum is compared. *)
   if m <= Core.Interval_exact.max_procs then
@@ -979,7 +979,7 @@ let registry =
       check_churn;
     oracle ~name:"par-exact-identity" ~salt:12
       ~doc:
-        "parallel B&B and layer-parallel DP are bit-identical to serial at \
+        "parallel B&B and stage-parallel DP are bit-identical to serial at \
          workers 1/2/8"
       check_par_exact;
     oracle ~name:"cert-replay" ~salt:13

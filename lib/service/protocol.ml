@@ -116,12 +116,12 @@ let decode_objective j =
                other)
       | None -> Error "objective: missing string \"minimize\"")
 
-let decode_request line =
-  let* j =
-    match Json.parse line with
-    | Ok j -> Ok j
-    | Error msg -> Error ("malformed JSON: " ^ msg)
-  in
+let parse_line line =
+  Result.map_error (fun msg -> "malformed JSON: " ^ msg) (Json.parse line)
+
+(* The request decoder over an already parsed line, so the session path
+   ([decode_inbound]) parses each line once. *)
+let request_of_json j =
   let* () = check_version j in
   let str name = Option.bind (Json.member name j) Json.to_str in
   let* instance =
@@ -146,6 +146,8 @@ let decode_request line =
         | _ -> Error "\"budget\" must be a positive integer")
   in
   Ok { id = str "id"; instance; objective; method_; budget }
+
+let decode_request line = Result.bind (parse_line line) request_of_json
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -270,14 +272,14 @@ type inbound =
   | Solve of (request, string) result
 
 let decode_inbound line =
-  match Json.parse line with
-  | Error _ ->
+  match parse_line line with
+  | Error msg ->
       (* Malformed JSON is answered on the solve path (a per-request
          [error] response), exactly as `relpipe batch` answers it. *)
-      Ok (Solve (decode_request line))
+      Ok (Solve (Error msg))
   | Ok j -> (
       match Json.member "op" j with
-      | None -> Ok (Solve (decode_request line))
+      | None -> Ok (Solve (request_of_json j))
       | Some op_j -> (
           match Json.to_str op_j with
           | None -> Error (Invalid_control "\"op\" must be a string")

@@ -94,9 +94,10 @@ let bb_fig5 () =
         s.Solution.evaluation.Instance.failure
 
 let bb_stats_independent () =
-  (* The search statistics and the bound memo tables must reset between
-     solves: interleaving an unrelated instance must leave a repeated
-     solve's stats (and answer) exactly as they were the first time. *)
+  (* The search statistics and the per-subset bound tables must not leak
+     between solves: interleaving an unrelated instance must leave a
+     repeated solve's stats (and answer) exactly as they were the first
+     time. *)
   let rng = Rng.create 99 in
   let inst_a = Helpers.random_fully_hetero rng ~n:4 ~m:5 in
   let inst_b = Helpers.random_fully_hetero rng ~n:3 ~m:4 in
@@ -126,6 +127,101 @@ let bb_stats_independent () =
         (Mapping.equal s1.Solution.mapping s2.Solution.mapping)
   | None, None -> ()
   | _ -> Alcotest.fail "other instance disagrees on feasibility"
+
+(* Golden pin of the search itself, not just its answers: per seeded case,
+   the serial solve's answer bits, mapping and stats; the same under its
+   own inflated optimum as a warm [?prune_above]; the deterministic
+   one-worker probe+confirm counts; and the digest of the certificate
+   transcript.  [Reference] pins answers only and [cert-replay] pins
+   acceptance only, so this is what holds node counts and transcript bytes
+   still across refactors of the search. *)
+let search_shapes = [ (3, 3); (4, 4); (5, 4); (3, 6); (6, 5); (5, 6) ]
+
+let render_solution = function
+  | None -> "infeasible"
+  | Some s ->
+      Printf.sprintf "L=%h F=%h %s" s.Solution.evaluation.Instance.latency
+        s.Solution.evaluation.Instance.failure
+        (Mapping_syntax.to_string s.Solution.mapping)
+
+let render_stats (s : Bb.stats) =
+  Printf.sprintf "%d/%d/%d" s.Bb.nodes s.Bb.evaluated s.Bb.pruned
+
+let search_line ~index ~cls inst objective =
+  let best, stats = Bb.solve_with_stats inst objective in
+  let warm =
+    match best with
+    | None -> "-"
+    | Some s ->
+        let prune_above =
+          Bb.inflate_bound
+            (Instance.objective_value objective s.Solution.evaluation)
+        in
+        let wbest, wstats = Bb.solve_with_stats ~prune_above inst objective in
+        Printf.sprintf "%s stats=%s" (render_solution wbest)
+          (render_stats wstats)
+  in
+  let _, par = Bb.solve_par_with_stats ~workers:1 inst objective in
+  let _, cert = Certify.bb inst objective in
+  let text = Relpipe_cert.Cert.to_string cert in
+  let objective_text =
+    match objective with
+    | Instance.Min_failure { max_latency } ->
+        Printf.sprintf "minF|L<=%h" max_latency
+    | Instance.Min_latency { max_failure } ->
+        Printf.sprintf "minL|F<=%h" max_failure
+  in
+  Printf.sprintf
+    "%02d %s n=%d m=%d %s\n\
+    \  serial %s stats=%s\n\
+    \  warm %s\n\
+    \  par1 tasks=%d probe=%d confirm=%s\n\
+    \  cert md5=%s len=%d\n"
+    index cls
+    (Pipeline.length inst.Instance.pipeline)
+    (Platform.size inst.Instance.platform)
+    objective_text (render_solution best) (render_stats stats) warm
+    par.Bb.tasks par.Bb.probe_nodes
+    (render_stats par.Bb.confirm)
+    (Digest.to_hex (Digest.string text))
+    (String.length text)
+
+let bb_search_snapshot () =
+  let buf = Buffer.create 8192 in
+  let index = ref 0 in
+  List.iteri
+    (fun i (n, m) ->
+      List.iter
+        (fun (cls, gen) ->
+          let rng = Rng.create (100 + i) in
+          let inst = gen rng ~n ~m in
+          let max_latency, max_failure = thresholds_for rng inst in
+          List.iter
+            (fun objective ->
+              Buffer.add_string buf
+                (search_line ~index:!index ~cls inst objective);
+              incr index)
+            [
+              Instance.Min_failure { max_latency };
+              Instance.Min_latency { max_failure };
+            ])
+        [
+          ("fully-hetero", Helpers.random_fully_hetero);
+          ("comm-homog", Helpers.random_comm_homog);
+        ])
+    search_shapes;
+  (* Two infeasible cases: one cut at the root, one only at the leaves. *)
+  let inst = Helpers.random_fully_hetero (Rng.create 200) ~n:4 ~m:5 in
+  List.iter
+    (fun objective ->
+      Buffer.add_string buf
+        (search_line ~index:!index ~cls:"fully-hetero" inst objective);
+      incr index)
+    [
+      Instance.Min_failure { max_latency = 1e-3 };
+      Instance.Min_latency { max_failure = 1e-12 };
+    ];
+  Helpers.Snapshot.check "bb-search.snap" (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Tri-criteria                                                        *)
@@ -236,6 +332,7 @@ let () =
           test "prunes the space" bb_prunes;
           test "solves fig5" bb_fig5;
           test "stats and memo reset between solves" bb_stats_independent;
+          test "search pinned by bb-search.snap" bb_search_snapshot;
         ] );
       ( "tri-criteria",
         [

@@ -37,7 +37,7 @@ let expected_listing =
    their frozen reference twins\n\
    churn-incremental      warm-started churn re-solves are byte-identical \
    to cold solves at every event\n\
-   par-exact-identity     parallel B&B and layer-parallel DP are \
+   par-exact-identity     parallel B&B and stage-parallel DP are \
    bit-identical to serial at workers 1/2/8\n\
    cert-replay            emitted certificates pass the independent checker; \
    raised-bound and dropped-line mutants are rejected\n\

@@ -93,7 +93,7 @@ let bb_par_identity_under_bound =
 
 let dp_par_identity =
   Helpers.seed_property ~count:25
-    "layer-parallel DP == serial at 1/2/8 workers" (fun seed ->
+    "stage-parallel DP == serial at 1/2/8 workers" (fun seed ->
       let rng = Rng.create seed in
       let n = 1 + (seed mod 5) and m = 2 + (seed mod 4) in
       let inst = Helpers.random_fully_hetero rng ~n ~m in

@@ -214,6 +214,40 @@ let test_decode_inbound () =
   | Ok (Protocol.Solve (Error _)) -> ()
   | _ -> Alcotest.fail "op-less bad request stays on the per-request path"
 
+(* A solve line is parsed once on the session path; the request it
+   carries must be exactly what [decode_request] makes of the same line,
+   errors included.  Each line's expected outcome is checked first, so
+   the comparison covers every error kind, not only malformed JSON. *)
+let test_inbound_matches_decode_request () =
+  let render = function
+    | Ok r -> "ok " ^ Protocol.encode_request r
+    | Error msg -> "error " ^ msg
+  in
+  let body extra =
+    Printf.sprintf
+      {|"instance":"%s","objective":{"minimize":"failure","max_latency":10}%s}|}
+      (String.escaped inst_text) extra
+  in
+  List.iter
+    (fun (name, line, expected) ->
+      let direct = render (Protocol.decode_request line) in
+      if not (String.starts_with ~prefix:expected direct) then
+        Alcotest.failf "%s: decode_request gave %S" name direct;
+      match Protocol.decode_inbound line with
+      | Ok (Protocol.Solve r) -> check_str name direct (render r)
+      | _ -> Alcotest.failf "%s: expected a Solve line" name)
+    [
+      ("valid", solve_line "x", "ok ");
+      ("malformed", "{oops", "error malformed JSON: ");
+      ("wrong version", {|{"v":2,|} ^ body "", "error unsupported protocol");
+      ( "bad budget",
+        {|{"v":1,|} ^ body {|,"budget":0|},
+        {|error "budget" must be a positive integer|} );
+      ( "both instance fields",
+        {|{"v":1,"instance_file":"x.relpipe",|} ^ body "",
+        {|error pass "instance" or "instance_file", not both|} );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Script (.session) format                                            *)
 (* ------------------------------------------------------------------ *)
@@ -613,6 +647,8 @@ let () =
             test_control_reply_bytes;
           test "control replies round-trip" test_control_reply_roundtrip;
           test "inbound classification" test_decode_inbound;
+          test "inbound solve lines decode like decode_request"
+            test_inbound_matches_decode_request;
         ] );
       ( "script",
         [
