@@ -43,59 +43,160 @@ let entries t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every token goes straight into one buffer, with no intermediate
+   strings: a B&B transcript runs to thousands of lines, and a Printf call
+   per token costs as much as the replay that checks them. *)
+
+(* Decimal digits of a non-positive int, most significant first; working
+   on the negative side covers [min_int] too. *)
+let rec add_neg_digits buf i =
+  if i <= -10 then add_neg_digits buf (i / 10);
+  Buffer.add_char buf (Char.chr (48 - (i mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf i
+  end
+  else add_neg_digits buf (-i)
+
+let hex_digits = "0123456789abcdef"
+
 (* Hexadecimal float literals round-trip bit-for-bit through
    [float_of_string], which is the whole point of a certificate: every
-   number the checker reads is exactly the number the solver computed. *)
-let fstr = Printf.sprintf "%h"
+   number the checker reads is exactly the number the solver computed.
+   The output is byte-identical to [Printf.sprintf "%h"]: the sign, [0x1]
+   ([0x0] for zero and subnormals), the 52-bit mantissa as nibbles after a
+   point with trailing zeros stripped (no point when it is zero), [p] and
+   the signed decimal exponent; [infinity] and [nan] keep their sign. *)
+let add_float buf x =
+  let bits = Int64.bits_of_float x in
+  let top = Int64.to_int (Int64.shift_right_logical bits 52) in
+  let exp = top land 0x7ff in
+  let mantissa = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+  if top land 0x800 <> 0 then Buffer.add_char buf '-';
+  if exp = 0x7ff then
+    Buffer.add_string buf (if mantissa = 0 then "infinity" else "nan")
+  else begin
+    Buffer.add_string buf (if exp = 0 then "0x0" else "0x1");
+    if mantissa <> 0 then begin
+      Buffer.add_char buf '.';
+      let rest = ref mantissa and shift = ref 48 in
+      while !rest <> 0 do
+        Buffer.add_char buf hex_digits.[(!rest lsr !shift) land 0xf];
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    Buffer.add_char buf 'p';
+    let e =
+      if exp > 0 then exp - 1023 else if mantissa = 0 then 0 else -1022
+    in
+    if e >= 0 then Buffer.add_char buf '+';
+    add_int buf e
+  end
 
-let interval_str { Mapping.first; last; procs } =
-  Printf.sprintf "%d-%d:%s" first last
-    (String.concat "," (List.map string_of_int procs))
+let add_interval buf { Mapping.first; last; procs } =
+  add_int buf first;
+  Buffer.add_char buf '-';
+  add_int buf last;
+  Buffer.add_char buf ':';
+  List.iteri
+    (fun i p ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_int buf p)
+    procs
 
-let path_str = function
-  | [] -> "-"
-  | ivs -> String.concat "|" (List.map interval_str ivs)
-
-let status_str = function
-  | Expanded -> "expanded"
-  | Evaluated { latency; failure } ->
-      Printf.sprintf "evaluated %s %s" (fstr latency) (fstr failure)
-  | Pruned { reason; latency_lb; partial_failure } ->
-      Printf.sprintf "pruned %s %s %s"
-        (match reason with Threshold -> "threshold" | Dominated -> "dominated")
-        (fstr latency_lb) (fstr partial_failure)
+let add_path buf = function
+  | [] -> Buffer.add_char buf '-'
+  | ivs ->
+      List.iteri
+        (fun i iv ->
+          if i > 0 then Buffer.add_char buf '|';
+          add_interval buf iv)
+        ivs
 
 let to_string t =
   let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "%s" magic;
-  line "kind %s" (match t.body with Bb _ -> "bb" | Dp _ -> "interval-dp");
-  line "n %d" t.n;
-  line "m %d" t.m;
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let int = add_int buf and hex = add_float buf in
+  let eol () = chr '\n' in
+  str magic;
+  eol ();
+  str (match t.body with Bb _ -> "kind bb" | Dp _ -> "kind interval-dp");
+  eol ();
+  str "n ";
+  int t.n;
+  eol ();
+  str "m ";
+  int t.m;
+  eol ();
   (match t.instance_digest with
   | None -> ()
-  | Some d -> line "instance md5 %s" d);
+  | Some d ->
+      str "instance md5 ";
+      str d;
+      eol ());
   (match t.body with
   | Bb { objective; claim; nodes } ->
       (match objective with
       | Instance.Min_latency { max_failure } ->
-          line "objective min-latency %s" (fstr max_failure)
+          str "objective min-latency ";
+          hex max_failure
       | Instance.Min_failure { max_latency } ->
-          line "objective min-failure %s" (fstr max_latency));
+          str "objective min-failure ";
+          hex max_latency);
+      eol ();
       (match claim with
-      | Infeasible -> line "claim infeasible"
+      | Infeasible -> str "claim infeasible"
       | Feasible { latency; failure; mapping } ->
-          line "claim feasible %s %s" (fstr latency) (fstr failure);
-          line "mapping %s" (path_str mapping));
+          str "claim feasible ";
+          hex latency;
+          chr ' ';
+          hex failure;
+          eol ();
+          str "mapping ";
+          add_path buf mapping);
+      eol ();
       List.iter
         (fun { path; status } ->
-          line "node %s %s" (path_str path) (status_str status))
+          str "node ";
+          add_path buf path;
+          (match status with
+          | Expanded -> str " expanded"
+          | Evaluated { latency; failure } ->
+              str " evaluated ";
+              hex latency;
+              chr ' ';
+              hex failure
+          | Pruned { reason; latency_lb; partial_failure } ->
+              str
+                (match reason with
+                | Threshold -> " pruned threshold "
+                | Dominated -> " pruned dominated ");
+              hex latency_lb;
+              chr ' ';
+              hex partial_failure);
+          eol ())
         nodes
   | Dp { latency; mapping; cells } ->
-      line "claim feasible %s" (fstr latency);
-      line "mapping %s" (path_str mapping);
+      str "claim feasible ";
+      hex latency;
+      eol ();
+      str "mapping ";
+      add_path buf mapping;
+      eol ();
       List.iter
-        (fun { e; u; mask; value } -> line "cell %d %d %d %s" e u mask (fstr value))
+        (fun { e; u; mask; value } ->
+          str "cell ";
+          int e;
+          chr ' ';
+          int u;
+          chr ' ';
+          int mask;
+          chr ' ';
+          hex value;
+          eol ())
         cells);
   Buffer.contents buf
 

@@ -16,8 +16,9 @@
     [mapping], [node], [cell]), so a certificate may be reordered
     arbitrarily below the magic line without changing its meaning
     (property-tested in test/test_cert.ml).  Blank lines and [#] comments
-    are ignored.  Floats are printed as hexadecimal literals ([%h]) so
-    every recorded number round-trips bit-for-bit. *)
+    are ignored.  Floats are printed as hexadecimal literals, byte for
+    byte what [Printf.sprintf "%h"] prints, so every recorded number
+    round-trips bit-for-bit. *)
 
 open Relpipe_model
 

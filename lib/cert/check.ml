@@ -3,6 +3,7 @@ module F = Relpipe_util.Float_cmp
 module Obs = Relpipe_obs.Obs
 
 let dp_max_procs = 14
+let bb_max_procs = Relpipe_util.Bitset.max_width
 
 exception Reject of string
 
@@ -154,11 +155,6 @@ let add_iv_key buf (first, last, mask) =
     mask := !mask lsr 1
   done
 
-let iv_key triple =
-  let buf = Buffer.create 16 in
-  add_iv_key buf triple;
-  Buffer.contents buf
-
 let key_of_triples = function
   | [] -> "-"
   | triples ->
@@ -169,6 +165,9 @@ let key_of_triples = function
           add_iv_key buf triple)
         triples;
       Buffer.contents buf
+
+(* The key of a reversed path, for rejection messages. *)
+let path_key rpath = key_of_triples (List.rev rpath)
 
 let triples_of_intervals env ivs =
   List.map
@@ -192,14 +191,63 @@ let iter_submasks f set =
 (* Branch-and-bound transcripts                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_bb env ~objective ~claim ~nodes =
-  let table = Hashtbl.create (2 * List.length nodes) in
+(* The transcript as a trie of integer node ids.  The root is id 0, and
+   appending the interval (first, last, mask) to the path of node [p] is
+   the edge (p, first, last, mask) to a child id.  The walk carries ids,
+   so a path is rendered as text only to name it in a rejection. *)
+module Edges = Hashtbl.Make (struct
+  type t = int * int * int * int
+
+  let equal (p, f, l, s) (p', f', l', s') =
+    Int.equal p p' && Int.equal f f' && Int.equal l l' && Int.equal s s'
+
+  (* An explicit int hash (the polymorphic [Hashtbl.hash] is banned by
+     devlint's compare family).  The table indexes buckets by the low
+     bits, so each step folds the product's high bits back down. *)
+  let hash (p, f, l, s) =
+    let mix h x =
+      let h = (h lxor x) * 0x9E3779B97F4A7C1 in
+      h lxor (h lsr 29)
+    in
+    mix (mix (mix (mix 0 p) f) l) s land max_int
+end)
+
+(* Node ids of the transcript and the status recorded at each.  A path's
+   missing prefixes still get ids, with no status: the walk reports them
+   as missing entries. *)
+let index_transcript env nodes =
+  (* At most the root plus one id per interval of every path. *)
+  let capacity =
+    List.fold_left (fun acc { Cert.path; _ } -> acc + List.length path) 1 nodes
+  in
+  let edges = Edges.create (2 * List.length nodes) in
+  let recorded = Array.make capacity None in
+  let fresh = ref 1 in
+  let child parent { Mapping.first; last; procs } =
+    let edge = (parent, first, last, mask_of_procs env procs) in
+    match Edges.find_opt edges edge with
+    | Some id -> id
+    | None ->
+        let id = !fresh in
+        incr fresh;
+        Edges.add edges edge id;
+        id
+  in
   List.iter
     (fun { Cert.path; status } ->
-      let key = key_of_triples (triples_of_intervals env path) in
-      if Hashtbl.mem table key then reject "duplicate transcript entry %s" key;
-      Hashtbl.add table key status)
+      let id = List.fold_left child 0 path in
+      if Option.is_some recorded.(id) then
+        reject "duplicate transcript entry %s"
+          (key_of_triples (triples_of_intervals env path));
+      recorded.(id) <- Some status)
     nodes;
+  (edges, recorded)
+
+let check_bb env ~objective ~claim ~nodes =
+  if env.m > bb_max_procs then
+    reject "bb certificate beyond the %d-processor cap" bb_max_procs;
+  let edges, recorded = index_transcript env nodes in
+  let entries = List.length nodes in
   let full_m = (1 lsl env.m) - 1 in
   (* The incumbent fold, replayed with the model's own acceptance rule in
      the search's exact child order: what survives is, bit for bit, what
@@ -211,11 +259,12 @@ let check_bb env ~objective ~claim ~nodes =
     | Some (evaluation, _) -> Instance.objective_value objective evaluation
   in
   let visited = ref 0 in
-  let rec walk ~key ~rpath ~next_stage ~used ~pending ~lc ~ls =
+  (* [id] is -1 for a child the trie does not have. *)
+  let rec walk ~id ~rpath ~next_stage ~used ~pending ~lc ~ls =
     let status =
-      match Hashtbl.find_opt table key with
+      match if id < 0 then None else recorded.(id) with
       | Some s -> s
-      | None -> reject "missing transcript entry for node %s" key
+      | None -> reject "missing transcript entry for node %s" (path_key rpath)
     in
     incr visited;
     let pf = -.Float.expm1 ls in
@@ -226,29 +275,31 @@ let check_bb env ~objective ~claim ~nodes =
     match status with
     | Cert.Pruned { reason; latency_lb; partial_failure } -> (
         if not (bits_eq latency_lb lb && bits_eq partial_failure pf) then
-          reject "recorded bounds at %s do not replay" key;
+          reject "recorded bounds at %s do not replay" (path_key rpath);
         match (reason, objective) with
         | Cert.Threshold, Instance.Min_failure { max_latency } ->
             if F.leq lb max_latency then
-              reject "threshold cut at %s is not justified" key
+              reject "threshold cut at %s is not justified" (path_key rpath)
         | Cert.Threshold, Instance.Min_latency { max_failure } ->
             if F.leq pf max_failure then
-              reject "threshold cut at %s is not justified" key
+              reject "threshold cut at %s is not justified" (path_key rpath)
         | Cert.Dominated, Instance.Min_latency _ ->
             if not (lb >= incumbent_objective ()) then
-              reject "dominated cut at %s is not justified" key
+              reject "dominated cut at %s is not justified" (path_key rpath)
         | Cert.Dominated, Instance.Min_failure _ ->
             if not (pf >= incumbent_objective ()) then
-              reject "dominated cut at %s is not justified" key)
+              reject "dominated cut at %s is not justified" (path_key rpath))
     | Cert.Evaluated { latency; failure } -> (
         if next_stage <= env.n then
-          reject "evaluated node %s does not cover the pipeline" key;
+          reject "evaluated node %s does not cover the pipeline"
+            (path_key rpath);
         match pending with
         | None -> reject "evaluated root of an empty pipeline"
         | Some iv ->
             let total = lc +. interval_term_out env iv in
             if not (bits_eq latency total && bits_eq failure pf) then
-              reject "recorded evaluation at %s does not replay" key;
+              reject "recorded evaluation at %s does not replay"
+                (path_key rpath);
             let evaluation = { Instance.latency = total; failure = pf } in
             if Instance.feasible objective evaluation then begin
               match !best with
@@ -259,7 +310,8 @@ let check_bb env ~objective ~claim ~nodes =
             end)
     | Cert.Expanded ->
         if next_stage > env.n then
-          reject "expanded node %s already covers the pipeline" key;
+          reject "expanded node %s already covers the pipeline"
+            (path_key rpath);
         let unused = full_m land lnot used in
         for e = next_stage to env.n do
           iter_submasks
@@ -271,18 +323,19 @@ let check_bb env ~objective ~claim ~nodes =
                 | Some prev -> lc +. interval_term env prev sub
               in
               let ls' = ls +. survival_term env sub in
-              let ckey =
-                if key = "-" then iv_key iv else key ^ "|" ^ iv_key iv
+              let child =
+                match Edges.find_opt edges (id, next_stage, e, sub) with
+                | Some child -> child
+                | None -> -1
               in
-              walk ~key:ckey ~rpath:(iv :: rpath) ~next_stage:(e + 1)
+              walk ~id:child ~rpath:(iv :: rpath) ~next_stage:(e + 1)
                 ~used:(used lor sub) ~pending:(Some iv) ~lc:lc' ~ls:ls')
             unused
         done
   in
-  walk ~key:"-" ~rpath:[] ~next_stage:1 ~used:0 ~pending:None ~lc:0.0 ~ls:0.0;
-  if !visited <> Hashtbl.length table then
-    reject "%d transcript entries are unreachable"
-      (Hashtbl.length table - !visited);
+  walk ~id:0 ~rpath:[] ~next_stage:1 ~used:0 ~pending:None ~lc:0.0 ~ls:0.0;
+  if !visited <> entries then
+    reject "%d transcript entries are unreachable" (entries - !visited);
   (match (claim, !best) with
   | Cert.Infeasible, None -> ()
   | Cert.Infeasible, Some _ ->
@@ -297,7 +350,7 @@ let check_bb env ~objective ~claim ~nodes =
       then reject "claimed optimum does not match the replayed incumbent";
       if triples_of_intervals env mapping <> triples then
         reject "claimed mapping does not match the replayed incumbent");
-  Hashtbl.length table
+  entries
 
 (* ------------------------------------------------------------------ *)
 (* Interval-DP potential tables                                        *)

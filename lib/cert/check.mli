@@ -50,6 +50,12 @@ val dp_max_procs : int
 (** Memory guard on [m] for [Dp] certificates (the potential table is
     [O(n m 2^m)]), mirroring the solver's own cap: 14. *)
 
+val bb_max_procs : int
+(** Width cap on [m] for [Bb] certificates: replication sets are int
+    bitmasks, so [m] may not exceed {!Relpipe_util.Bitset.max_width} (62),
+    the cap [Bb.solve] itself enforces.  A larger [m] is refused with an
+    [Error], like a [Dp] certificate beyond {!dp_max_procs}. *)
+
 val check : Instance.t -> Cert.t -> (int, string) result
 (** [Ok entries] with the number of verified content entries, or
     [Error reason] naming the first defect found. *)

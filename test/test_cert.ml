@@ -273,6 +273,178 @@ let digest_binding () =
   accepts "digest-stamped certificate" instance cert;
   rejects "certificate replayed against the wrong instance" other cert
 
+(* Processor sets are int bitmasks: at m = 64 the full set [1 lsl 64 - 1]
+   wraps to 0, so an unchecked replay demands no children of the root and
+   a root-only transcript "proves" a feasible instance infeasible. *)
+let bb_width_cap () =
+  let m = 64 in
+  let instance =
+    Instance.make
+      (Pipeline.of_costs ~input:1.0 [ (1.0, 1.0) ])
+      (Platform.uniform_links ~speeds:(Array.make m 1.0)
+         ~failures:(Array.make m 0.5) ~bandwidth:1.0)
+  in
+  let forged =
+    {
+      Cert.n = 1;
+      m;
+      instance_digest = None;
+      body =
+        Cert.Bb
+          {
+            objective = Instance.Min_latency { max_failure = 0.9 };
+            claim = Cert.Infeasible;
+            nodes = [ { Cert.path = []; status = Cert.Expanded } ];
+          };
+    }
+  in
+  let reparsed =
+    match Cert.of_string (Cert.to_string forged) with
+    | Ok cert -> cert
+    | Error e -> Alcotest.failf "forged certificate does not parse: %s" e
+  in
+  List.iter
+    (fun (what, cert) ->
+      match Check.check instance cert with
+      | Ok _ -> Alcotest.failf "%s accepted at m = %d" what m
+      | Error e ->
+          Alcotest.(check string) (what ^ " refused by the width cap")
+            (Printf.sprintf "bb certificate beyond the %d-processor cap"
+               Check.bb_max_procs)
+            e)
+    [ ("forged root-only certificate", forged); ("its text round trip", reparsed) ]
+
+(* The writer prints every float exactly as [%h] does, pinned through the
+   public API: the [cell] line of a one-cell DP certificate. *)
+let hex_specials =
+  [
+    0.0;
+    -0.0;
+    Int64.float_of_bits 1L (* smallest subnormal *);
+    Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+    Float.min_float;
+    Float.max_float;
+    Float.infinity;
+    Float.neg_infinity;
+    Float.nan;
+    Float.neg Float.nan;
+  ]
+
+let cell_line value =
+  let cert =
+    {
+      Cert.n = 1;
+      m = 1;
+      instance_digest = None;
+      body =
+        Cert.Dp
+          { latency = 1.0; mapping = []; cells = [ { Cert.e = 1; u = 0; mask = 1; value } ] };
+    }
+  in
+  String.split_on_char '\n' (Cert.to_string cert)
+  |> List.find (String.starts_with ~prefix:"cell ")
+
+let hex_writer =
+  let gen =
+    QCheck.Gen.(
+      frequency [ (3, map Int64.float_of_bits int64); (1, oneofl hex_specials) ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"cell values print as %h" ~count:2000
+       (QCheck.make ~print:(Printf.sprintf "%h") gen)
+       (fun value ->
+         String.equal (cell_line value) (Printf.sprintf "cell 1 0 1 %h" value)))
+
+(* ------------------------------------------------------------------ *)
+(* Golden pin of certificate bytes and checker verdicts                *)
+(* ------------------------------------------------------------------ *)
+
+(* Per seeded case: the MD5 and length of each certificate's text, and
+   the checker's exact verdict on it, on its first and last mutants, and
+   on the defects below.  bb-search.snap pins B&B transcript bytes only;
+   this also holds DP certificate text and the rejection messages still
+   across rewrites of the writer and the checker. *)
+let snapshot_shapes = [ (2, 3); (3, 4); (4, 4); (3, 5) ]
+let snapshot_mutants = [ 0; 1; 2; 3; -1 ]
+
+(* Defects the index-driven mutators cannot make: a repeated entry, and
+   for B&B an entry no expansion reaches and a path with unsorted
+   processors. *)
+let extra_mutants cert =
+  match cert.Cert.body with
+  | Cert.Bb ({ nodes; _ } as bb) ->
+      let with_nodes nodes = { cert with Cert.body = Cert.Bb { bb with nodes } } in
+      let iv procs = { Mapping.first = 1; last = 1; procs } in
+      let node path = { Cert.path; status = Cert.Expanded } in
+      [
+        ("duplicate", with_nodes (nodes @ [ List.hd (List.rev nodes) ]));
+        ("stray", with_nodes (nodes @ [ node [ iv [ 0 ]; iv [ 0 ] ] ]));
+        ("unsorted", with_nodes (node [ iv [ 1; 0 ] ] :: nodes));
+      ]
+  | Cert.Dp ({ cells; _ } as dp) ->
+      [
+        ( "duplicate",
+          { cert with Cert.body = Cert.Dp { dp with cells = cells @ [ List.hd cells ] } } );
+      ]
+
+let verdict instance = function
+  | None -> "-"
+  | Some cert -> (
+      match Check.check instance cert with
+      | Ok entries -> Printf.sprintf "ok %d" entries
+      | Error e -> "error " ^ e)
+
+let render_cert buf ~label instance cert =
+  let text = Cert.to_string cert in
+  Printf.bprintf buf "%s md5=%s len=%d\n  check %s\n" label
+    (Digest.to_hex (Digest.string text))
+    (String.length text)
+    (verdict instance (Some cert));
+  List.iter
+    (fun index ->
+      Printf.bprintf buf "  raise %d: %s\n  drop %d: %s\n" index
+        (verdict instance (Cert.mutate_raise_bound ~index cert))
+        index
+        (verdict instance (Cert.mutate_drop_line ~index cert)))
+    snapshot_mutants;
+  List.iter
+    (fun (what, mutant) ->
+      Printf.bprintf buf "  %s: %s\n" what (verdict instance (Some mutant)))
+    (extra_mutants cert)
+
+let cert_bytes_snapshot () =
+  let buf = Buffer.create 8192 in
+  List.iteri
+    (fun i (n, m) ->
+      List.iter
+        (fun (cls, gen) ->
+          let rng = Rng.create (300 + i) in
+          let instance = gen rng ~n ~m in
+          let max_failure = Rng.float_range rng 0.2 0.9 in
+          let max_latency = Rng.float_range rng 10.0 100.0 in
+          let case = Printf.sprintf "%s n=%d m=%d" cls n m in
+          List.iter
+            (fun (what, objective) ->
+              let _, cert = Certify.bb instance objective in
+              render_cert buf ~label:(Printf.sprintf "%s bb %s" case what)
+                instance cert)
+            [
+              (Printf.sprintf "minF|L<=%h" max_latency,
+               Instance.Min_failure { max_latency });
+              (Printf.sprintf "minL|F<=%h" max_failure,
+               Instance.Min_latency { max_failure });
+            ];
+          match Certify.interval instance with
+          | _, None -> Printf.bprintf buf "%s dp none\n" case
+          | _, Some cert ->
+              render_cert buf ~label:(case ^ " dp") instance cert)
+        [
+          ("fully-hetero", Helpers.random_fully_hetero);
+          ("comm-homog", Helpers.random_comm_homog);
+        ])
+    snapshot_shapes;
+  Helpers.Snapshot.check "cert-bytes.snap" (Buffer.contents buf)
+
 let parser_rejects () =
   let reject_text what text =
     match Cert.of_string text with
@@ -297,10 +469,19 @@ let () =
           test "emitted B&B claim matches hand-computed bound"
             bb_emitted_hand_claim;
         ] );
-      ("format", [ roundtrip; reorder_invariance; test "parser rejects" parser_rejects ]);
+      ( "format",
+        [
+          roundtrip;
+          reorder_invariance;
+          hex_writer;
+          test "parser rejects" parser_rejects;
+          test "bytes and verdicts pinned by cert-bytes.snap"
+            cert_bytes_snapshot;
+        ] );
       ( "mutations",
         [
           test "stable mutation battery rejected" mutation_battery;
           test "digest binds certificate to instance" digest_binding;
+          test "bb certificate beyond the width cap refused" bb_width_cap;
         ] );
     ]

@@ -257,6 +257,33 @@ echo "== relpipe cert: certify + independent-check gate =="
   --certify "$tmp/fig5-L.cert" >/dev/null
 "$relpipe" cert -i examples/instances/fig5.relpipe "$tmp/fig5-L.cert" \
   >/dev/null
+# Tampering through the CLI: raise the first pruned node's recorded bound
+# by one hex digit (its last mantissa digit), and separately drop one node
+# line.  The checker must refuse each (exit 1) and name the defect.
+awk '!done && $1 == "node" && $3 == "pruned" && match($5, /[0-9a-e]p/) {
+  d = substr($5, RSTART, 1)
+  $5 = substr($5, 1, RSTART - 1) \
+    substr("123456789abcdef", index("0123456789abcde", d), 1) \
+    substr($5, RSTART + 1)
+  done = 1
+} { print }' "$tmp/fig5-L.cert" > "$tmp/fig5-L-raised.cert"
+awk '$1 == "node" && ++k == 5000 { next } { print }' "$tmp/fig5-L.cert" \
+  > "$tmp/fig5-L-dropped.cert"
+for tamper in "raised:recorded bounds at" \
+  "dropped:missing transcript entry for node"; do
+  cert="$tmp/fig5-L-${tamper%%:*}.cert"
+  if cmp -s "$tmp/fig5-L.cert" "$cert"; then
+    echo "check.sh: tampering left $cert unchanged" >&2
+    exit 1
+  fi
+  "$relpipe" cert -i examples/instances/fig5.relpipe "$cert" >/dev/null \
+    2>"$cert.err" && rc=0 || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q "REJECTED: ${tamper#*:}" "$cert.err"; then
+    echo "check.sh: relpipe cert did not reject $cert as expected (exit $rc)" >&2
+    cat "$cert.err" >&2
+    exit 1
+  fi
+done
 for f in fig5 lab-cluster federation; do
   "$relpipe" exact -i "examples/instances/$f.relpipe" -F 0.5 --leg dp \
     --certify "$tmp/$f-dp.cert" >/dev/null
