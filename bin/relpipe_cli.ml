@@ -7,13 +7,26 @@
      cert         independently check an optimality certificate
      simulate     Monte-Carlo-validate a solved mapping
      pareto       print the latency/reliability trade-off front
+     eval         evaluate and validate a user-supplied mapping
+     tri          minimise failure under joint latency and period bounds
+     goodput      measure goodput over simulated missions
+     experiments  regenerate every paper experiment (E1-E24)
+     catalog      list the built-in platform presets, or export one
+     lint         statically check an instance (and a mapping)
      batch        answer a JSONL stream of solve requests (cached, parallel)
      serve        daemon: the batch protocol over Unix/TCP sockets
      call         scripted client for a running serve daemon
+     prof         profile one solve: per-phase spans and solver counters
      sweep        generate synthetic scenarios and batch-solve them
      atlas        stream a seeded Zipf/bursty workload with online aggregation
-     experiments  regenerate every paper experiment (E1-E14)
-     demo         write a sample instance file (the paper's Fig. 5) *)
+     fuzz         differential fuzzing with delta-shrinking
+     devlint      statically analyse the repository's own OCaml sources
+     churn        replay a seeded churn scenario with incremental re-solving
+     demo         write a sample instance file (the paper's Fig. 5)
+
+   A flag shared by several subcommands is declared once below, and every
+   count is range-checked by its converter, so a bad value is a usage
+   error naming the flag. *)
 
 open Cmdliner
 open Relpipe_model
@@ -22,14 +35,31 @@ module Service = Relpipe_service
 module Serve = Relpipe_serve
 module Pool = Relpipe_pool.Pool
 
-(* Every file-loading subcommand shares this helper; parse failures are
-   rendered through the Relpipe_analysis spans ("path:line:col:
-   error[RP-P001]: ..."), exactly like `relpipe lint`. *)
-let load_instance path = Relpipe_analysis.Analysis.load_instance_file path
+(* ------------------------------------------------------------------ *)
+(* Shared terms and helpers                                            *)
+(* ------------------------------------------------------------------ *)
 
+let int_at_least k =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < k ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+                k))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* Parse failures are rendered through the Relpipe_analysis spans
+   ("path:line:col: error[RP-P001]: ..."), exactly like `relpipe lint`. *)
 let instance_arg =
   let doc = "Instance description file (see `relpipe demo` for the format)." in
-  Arg.(required & opt (some file) None & info [ "i"; "instance" ] ~doc)
+  let path =
+    Arg.(required & opt (some file) None & info [ "i"; "instance" ] ~doc)
+  in
+  Term.(
+    term_result' (const Relpipe_analysis.Analysis.load_instance_file $ path))
 
 let objective_arg =
   let max_latency =
@@ -56,103 +86,183 @@ let method_arg =
   in
   Arg.(value & opt (enum methods) Solver.Auto & info [ "m"; "method" ] ~doc)
 
+let seed_arg ?(doc = "Random seed.") default =
+  Arg.(value & opt int default & info [ "s"; "seed" ] ~doc)
+
+let trials_arg ~doc default =
+  Arg.(value & opt (int_at_least 1) default & info [ "t"; "trials" ] ~doc)
+
+let certify_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "certify" ] ~docv:"FILE" ~doc)
+
+let format_arg =
+  let doc = "Output format: text or json." in
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format" ] ~doc)
+
+let virtual_clock_flag =
+  let doc =
+    "Timestamp metrics and traces with a deterministic virtual clock \
+     (fixed tick per reading) instead of the monotonic clock, so the \
+     files are byte-identical across runs and worker counts."
+  in
+  Arg.(value & flag & info [ "virtual-clock" ] ~doc)
+
+(* -w/--workers and --exact-workers resolve to one domain count: 0 means
+   every CPU, and the count is capped at the CPU count unless
+   --exact-workers asks for oversubscription. *)
+let workers_arg =
+  let workers =
+    let doc =
+      "Worker domains for the solve phase (0 = all CPUs).  Clamped to the \
+       detected CPU count unless $(b,--exact-workers) is set."
+    in
+    Arg.(value & opt int 0 & info [ "w"; "workers" ] ~doc)
+  in
+  let exact_workers =
+    let doc =
+      "Spawn exactly the requested number of domains, even beyond the CPU \
+       count (oversubscription; used by tests to exercise scheduling on \
+       small machines).  Output is byte-identical either way."
+    in
+    Arg.(value & flag & info [ "exact-workers" ] ~doc)
+  in
+  let resolve workers exact_workers =
+    Pool.effective_workers ~cap:(not exact_workers)
+      (if workers <= 0 then Pool.cpu_count () else workers)
+  in
+  Term.(const resolve $ workers $ exact_workers)
+
 let print_solution inst (s : Solution.t) =
   Format.printf "mapping:  %a@." Mapping.pp s.Solution.mapping;
   Format.printf "latency:  %g@." s.Solution.evaluation.Instance.latency;
   Format.printf "failure:  %g@." s.Solution.evaluation.Instance.failure;
   Format.printf "class:    %s@." (Solver.describe inst)
 
-(* ------------------------------------------------------------------ *)
+(* The refusals the solvers raise for inputs they cannot handle: an
+   argument outside their domain, and an exact enumeration over its
+   budget. *)
+let guarded run =
+  try run ()
+  with Invalid_argument msg | Exact.Too_large msg -> `Error (false, msg)
 
-let describe_cmd =
-  let run path =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst ->
-        let platform = inst.Instance.platform in
-        Format.printf "pipeline: %d stages, total work %g@."
-          (Pipeline.length inst.Instance.pipeline)
-          (Pipeline.total_work inst.Instance.pipeline);
-        Format.printf "platform: %d processors@." (Platform.size platform);
-        Format.printf "classes:  %a, %a@." Classify.pp_comm_class
-          (Classify.comm_class platform)
-          Classify.pp_failure_class
-          (Classify.failure_class platform);
-        Format.printf "dispatch: %s@." (Solver.describe inst);
-        `Ok ()
+let exit_with code =
+  Format.print_flush ();
+  Stdlib.exit code
+
+(* Every file the CLI reads or writes, apart from the instance, goes
+   through [with_input] or [with_output], so a bad path is an error that
+   names it, never an uncaught Sys_error.  "-" is stdin or stdout. *)
+let io_error verb path msg =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix)
+        (String.length msg - String.length prefix)
+    else msg
   in
-  let doc = "Classify an instance and report the applicable algorithm." in
-  Cmd.v (Cmd.info "describe" ~doc)
-    Term.(ret (const run $ instance_arg))
+  Printf.sprintf "cannot %s %s: %s" verb path reason
 
-(* Certificate plumbing shared by `solve --certify`, `exact --certify`
-   and `cert`.  The emitted text is written before the self-check so a
-   rejected certificate is still on disk for inspection. *)
-let write_certificate path cert =
+let with_input path f =
+  match if path = "-" then f stdin else In_channel.with_open_text path f with
+  | v -> Ok v
+  | exception Sys_error msg -> Error (io_error "read" path msg)
+
+(* Write failures (unwritable path, ENOSPC, a closed pipe) are reported,
+   never a silently truncated file. *)
+let with_output path f =
   match
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Relpipe_cert.Cert.to_string cert))
+    match path with
+    | "-" ->
+        f stdout;
+        flush stdout
+    | path ->
+        (* Flush inside the guarded region: with_open_text closes with
+           close_noerr, which would swallow an ENOSPC at close time. *)
+        Out_channel.with_open_text path (fun oc ->
+            f oc;
+            Out_channel.flush oc)
   with
   | () -> Ok ()
   | exception Sys_error msg ->
-      Error (Printf.sprintf "cannot write certificate %s: %s" path msg)
+      Error (io_error "write" (if path = "-" then "stdout" else path) msg)
 
-let self_check_certificate ~path inst cert =
-  match Relpipe_cert.Check.check inst cert with
-  | Ok entries ->
-      Format.printf "certificate: %s (%d entries, checker accepted)@." path
-        entries;
-      Ok ()
-  | Error msg ->
-      Error
-        (Printf.sprintf "certificate self-check rejected %s: %s" path msg)
+let print_rule_table third rows =
+  let module T = Relpipe_util.Table in
+  let table =
+    T.create
+      ~aligns:[ T.Left; T.Left; T.Left; T.Left ]
+      [ "id"; "severity"; third; "title" ]
+  in
+  List.iter (T.add_row table) rows;
+  T.print table
 
-let certify_solution ~path inst objective =
-  let best, cert = Certify.bb inst objective in
-  match write_certificate path cert with
+(* ------------------------------------------------------------------ *)
+
+let describe_cmd =
+  let run inst =
+    let platform = inst.Instance.platform in
+    Format.printf "pipeline: %d stages, total work %g@."
+      (Pipeline.length inst.Instance.pipeline)
+      (Pipeline.total_work inst.Instance.pipeline);
+    Format.printf "platform: %d processors@." (Platform.size platform);
+    Format.printf "classes:  %a, %a@." Classify.pp_comm_class
+      (Classify.comm_class platform)
+      Classify.pp_failure_class
+      (Classify.failure_class platform);
+    Format.printf "dispatch: %s@." (Solver.describe inst)
+  in
+  let doc = "Classify an instance and report the applicable algorithm." in
+  Cmd.v (Cmd.info "describe" ~doc) Term.(const run $ instance_arg)
+
+(* solve --certify and exact --certify write the certificate before the
+   self-check, so a rejected certificate is still on disk for
+   inspection. *)
+let write_and_check ~path inst cert =
+  match
+    with_output path (fun oc ->
+        Out_channel.output_string oc (Relpipe_cert.Cert.to_string cert))
+  with
   | Error _ as e -> e
   | Ok () -> (
-      match self_check_certificate ~path inst cert with
-      | Error _ as e -> e
-      | Ok () -> Ok best)
+      match Relpipe_cert.Check.check inst cert with
+      | Ok entries ->
+          Format.printf "certificate: %s (%d entries, checker accepted)@." path
+            entries;
+          Ok ()
+      | Error msg ->
+          Error
+            (Printf.sprintf "certificate self-check rejected %s: %s" path msg))
 
 let solve_cmd =
   let certify_arg =
-    let doc =
-      "Write an optimality certificate (a replayable branch-and-bound \
-       transcript) to $(docv) and replay it through the independent \
-       checker before reporting.  Forces the exact branch-and-bound \
-       solver; the answer is bit-identical to the uncertified solve."
-    in
-    Arg.(value & opt (some string) None & info [ "certify" ] ~docv:"FILE" ~doc)
+    certify_arg
+      ~doc:
+        "Write an optimality certificate (a replayable branch-and-bound \
+         transcript) to $(docv) and replay it through the independent \
+         checker before reporting.  Forces the exact branch-and-bound \
+         solver; the answer is bit-identical to the uncertified solve."
   in
-  let run path objective method_ certify =
-    match load_instance path with
+  let run inst objective method_ certify =
+    guarded @@ fun () ->
+    let solution =
+      match certify with
+      | None -> Ok (Solver.solve ~method_ inst objective)
+      | Some path ->
+          let best, cert = Certify.bb inst objective in
+          Result.map (fun () -> best) (write_and_check ~path inst cert)
+    in
+    match solution with
     | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        match certify with
-        | Some cert_path -> (
-            match certify_solution ~path:cert_path inst objective with
-            | Error msg -> `Error (false, msg)
-            | Ok (Some s) ->
-                print_solution inst s;
-                `Ok ()
-            | Ok None ->
-                Format.printf "no feasible mapping for %a@."
-                  Instance.pp_objective objective;
-                `Ok ()
-            | exception Invalid_argument msg -> `Error (false, msg))
-        | None -> (
-            match Solver.solve ~method_ inst objective with
-            | Some s ->
-                print_solution inst s;
-                `Ok ()
-            | None ->
-                Format.printf "no feasible mapping for %a@."
-                  Instance.pp_objective objective;
-                `Ok ()
-            | exception Invalid_argument msg -> `Error (false, msg)
-            | exception Exact.Too_large msg -> `Error (false, msg)))
+    | Ok (Some s) ->
+        print_solution inst s;
+        `Ok ()
+    | Ok None ->
+        Format.printf "no feasible mapping for %a@." Instance.pp_objective
+          objective;
+        `Ok ()
   in
   let doc = "Solve a bi-criteria mapping problem." in
   Cmd.v (Cmd.info "solve" ~doc)
@@ -171,24 +281,22 @@ let exact_cmd =
     Arg.(value & opt (enum [ ("bb", `Bb); ("dp", `Dp) ]) `Bb
          & info [ "leg" ] ~docv:"LEG" ~doc)
   in
+  (* Not the shared workers term: the count is never capped (check.sh
+     runs 8 domains on small hosts), and absent means the serial
+     kernel. *)
   let workers_arg =
     let doc =
-      "Run the parallel kernel over this many pool domains.  The answer \
-       is bit-identical to $(b,--serial) at every worker count — diff the \
-       outputs to check."
+      "Run the parallel kernel over this many pool domains; without it \
+       the serial kernel runs.  The answer is bit-identical to the serial \
+       kernel at every worker count — diff the outputs to check."
     in
     Arg.(value & opt (some int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
   in
-  let serial_flag =
-    let doc = "Run the serial kernel (the default)." in
-    Arg.(value & flag & info [ "serial" ] ~doc)
-  in
   let certify_arg =
-    let doc =
-      "Write the optimality certificate for the chosen leg to $(docv) and \
-       replay it through the independent checker."
-    in
-    Arg.(value & opt (some string) None & info [ "certify" ] ~docv:"FILE" ~doc)
+    certify_arg
+      ~doc:
+        "Write the optimality certificate for the chosen leg to $(docv) and \
+         replay it through the independent checker."
   in
   (* Hex floats alongside %g so serial-vs-parallel runs can be compared
      byte-for-byte (tools/check.sh does exactly that). *)
@@ -199,66 +307,49 @@ let exact_cmd =
     | None -> ()
     | Some f -> Format.printf "failure:  %g (%h)@." f f
   in
-  let run path objective leg workers serial certify =
-    match (workers, serial) with
-    | Some _, true -> `Error (true, "pass at most one of --workers and --serial")
-    | _ -> (
-        match load_instance path with
-        | Error msg -> `Error (false, msg)
-        | Ok inst -> (
-            let finish_cert emit =
-              match certify with
-              | None -> Ok ()
-              | Some cert_path -> (
-                  match emit () with
-                  | None -> Error "nothing to certify: no feasible mapping"
-                  | Some cert -> (
-                      match write_certificate cert_path cert with
-                      | Error _ as e -> e
-                      | Ok () -> self_check_certificate ~path:cert_path inst cert))
-            in
-            match leg with
-            | `Bb -> (
-                let solution =
-                  match workers with
-                  | None -> Bb.solve inst objective
-                  | Some w -> Bb.solve_par ~workers:w inst objective
-                in
-                (match solution with
-                 | Some s ->
-                     print_exact s.Solution.evaluation.Instance.latency
-                       (Some s.Solution.evaluation.Instance.failure)
-                       s.Solution.mapping
-                 | None ->
-                     Format.printf "no feasible mapping for %a@."
-                       Instance.pp_objective objective);
-                match
-                  finish_cert (fun () -> Some (snd (Certify.bb inst objective)))
-                with
-                | Ok () -> `Ok ()
-                | Error msg -> `Error (false, msg))
-            | `Dp -> (
-                if Platform.size inst.Instance.platform > Interval_exact.max_procs
-                then
-                  `Error
-                    ( false,
-                      Printf.sprintf
-                        "interval DP supports at most %d processors"
-                        Interval_exact.max_procs )
-                else
-                  let opt =
-                    match workers with
-                    | None -> Interval_exact.min_latency inst
-                    | Some w -> Interval_exact.min_latency_par ~workers:w inst
-                  in
-                  (match opt with
-                   | Some (latency, mapping) -> print_exact latency None mapping
-                   | None -> Format.printf "no interval mapping@.");
-                  match
-                    finish_cert (fun () -> snd (Certify.interval inst))
-                  with
-                  | Ok () -> `Ok ()
-                  | Error msg -> `Error (false, msg))))
+  let run inst objective leg workers certify =
+    let certify_with emit =
+      match certify with
+      | None -> `Ok ()
+      | Some path -> (
+          match emit () with
+          | None -> `Error (false, "nothing to certify: no feasible mapping")
+          | Some cert -> (
+              match write_and_check ~path inst cert with
+              | Ok () -> `Ok ()
+              | Error msg -> `Error (false, msg)))
+    in
+    match leg with
+    | `Bb ->
+        let solution =
+          match workers with
+          | None -> Bb.solve inst objective
+          | Some w -> Bb.solve_par ~workers:w inst objective
+        in
+        (match solution with
+        | Some s ->
+            print_exact s.Solution.evaluation.Instance.latency
+              (Some s.Solution.evaluation.Instance.failure)
+              s.Solution.mapping
+        | None ->
+            Format.printf "no feasible mapping for %a@." Instance.pp_objective
+              objective);
+        certify_with (fun () -> Some (snd (Certify.bb inst objective)))
+    | `Dp when Platform.size inst.Instance.platform > Interval_exact.max_procs ->
+        `Error
+          ( false,
+            Printf.sprintf "interval DP supports at most %d processors"
+              Interval_exact.max_procs )
+    | `Dp ->
+        let opt =
+          match workers with
+          | None -> Interval_exact.min_latency inst
+          | Some w -> Interval_exact.min_latency_par ~workers:w inst
+        in
+        (match opt with
+        | Some (latency, mapping) -> print_exact latency None mapping
+        | None -> Format.printf "no interval mapping@.");
+        certify_with (fun () -> snd (Certify.interval inst))
   in
   let doc = "Run the exact kernels, serial or parallel, optionally certified." in
   let man =
@@ -283,7 +374,7 @@ let exact_cmd =
     Term.(
       ret
         (const run $ instance_arg $ objective_arg $ leg_arg $ workers_arg
-       $ serial_flag $ certify_arg))
+       $ certify_arg))
 
 (* --- cert: independent certificate checking ------------------------ *)
 
@@ -292,17 +383,14 @@ let cert_cmd =
     let doc = "Certificate file written by solve/exact $(b,--certify)." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"CERTFILE" ~doc)
   in
-  let run path cert_path =
-    match load_instance path with
+  let run inst cert_path =
+    match with_input cert_path In_channel.input_all with
     | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        let text =
-          In_channel.with_open_text cert_path In_channel.input_all
-        in
+    | Ok text -> (
         match Relpipe_cert.Cert.of_string text with
         | Error msg ->
             Format.eprintf "%s: unreadable certificate: %s@." cert_path msg;
-            Stdlib.exit 1
+            exit_with 1
         | Ok cert -> (
             match Relpipe_cert.Check.check inst cert with
             | Ok entries ->
@@ -310,7 +398,7 @@ let cert_cmd =
                 `Ok ()
             | Error msg ->
                 Format.eprintf "%s: REJECTED: %s@." cert_path msg;
-                Stdlib.exit 1))
+                exit_with 1))
   in
   let doc = "Check an optimality certificate against an instance." in
   let man =
@@ -331,71 +419,60 @@ let cert_cmd =
     Term.(ret (const run $ instance_arg $ cert_file_arg))
 
 let simulate_cmd =
-  let trials_arg =
-    let doc = "Number of Monte-Carlo trials." in
-    Arg.(value & opt int 10_000 & info [ "t"; "trials" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Random seed." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
-  in
-  let run path objective method_ trials seed =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        match Solver.solve ~method_ inst objective with
-        | None -> `Error (false, "no feasible mapping to simulate")
-        | Some s ->
-            print_solution inst s;
-            let rng = Relpipe_util.Rng.create seed in
-            let r =
-              Relpipe_sim.Montecarlo.estimate rng inst s.Solution.mapping ~trials
-                ~policy:Relpipe_sim.Trial.Optimistic
-            in
-            Format.printf "%a@." Relpipe_sim.Montecarlo.pp_result r;
-            `Ok ()
-        | exception Invalid_argument msg -> `Error (false, msg))
+  let run inst objective method_ trials seed =
+    guarded @@ fun () ->
+    match Solver.solve ~method_ inst objective with
+    | None -> `Error (false, "no feasible mapping to simulate")
+    | Some s ->
+        print_solution inst s;
+        let rng = Relpipe_util.Rng.create seed in
+        let r =
+          Relpipe_sim.Montecarlo.estimate rng inst s.Solution.mapping ~trials
+            ~policy:Relpipe_sim.Trial.Optimistic
+        in
+        Format.printf "%a@." Relpipe_sim.Montecarlo.pp_result r;
+        `Ok ()
   in
   let doc = "Solve, then validate the mapping by Monte-Carlo simulation." in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      ret (const run $ instance_arg $ objective_arg $ method_arg $ trials_arg
-           $ seed_arg))
+      ret
+        (const run $ instance_arg $ objective_arg $ method_arg
+        $ trials_arg ~doc:"Number of Monte-Carlo trials." 10_000
+        $ seed_arg 42))
 
 let pareto_cmd =
   let count_arg =
     let doc = "Number of latency thresholds to sweep." in
-    Arg.(value & opt int 8 & info [ "n"; "points" ] ~doc)
+    Arg.(value & opt (int_at_least 2) 8 & info [ "n"; "points" ] ~doc)
   in
-  let run path method_ count =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst ->
-        let front =
-          Pareto.front_with
-            (fun inst objective -> Solver.solve ~method_ inst objective)
-            inst ~count
-        in
-        let table =
-          Relpipe_util.Table.create
-            [ "threshold"; "latency"; "failure"; "intervals"; "replicas" ]
-        in
-        List.iter
-          (fun p ->
-            Relpipe_util.Table.add_row table
-              [
-                Relpipe_util.Table.fmt_float p.Pareto.threshold;
-                Relpipe_util.Table.fmt_float
-                  p.Pareto.solution.Solution.evaluation.Instance.latency;
-                Relpipe_util.Table.fmt_float
-                  p.Pareto.solution.Solution.evaluation.Instance.failure;
-                string_of_int (Mapping.num_intervals p.Pareto.solution.Solution.mapping);
-                string_of_int
-                  (List.length (Mapping.used_procs p.Pareto.solution.Solution.mapping));
-              ])
-          front;
-        Relpipe_util.Table.print table;
-        `Ok ()
+  let run inst method_ count =
+    guarded @@ fun () ->
+    let front =
+      Pareto.front_with
+        (fun inst objective -> Solver.solve ~method_ inst objective)
+        inst ~count
+    in
+    let table =
+      Relpipe_util.Table.create
+        [ "threshold"; "latency"; "failure"; "intervals"; "replicas" ]
+    in
+    List.iter
+      (fun p ->
+        Relpipe_util.Table.add_row table
+          [
+            Relpipe_util.Table.fmt_float p.Pareto.threshold;
+            Relpipe_util.Table.fmt_float
+              p.Pareto.solution.Solution.evaluation.Instance.latency;
+            Relpipe_util.Table.fmt_float
+              p.Pareto.solution.Solution.evaluation.Instance.failure;
+            string_of_int (Mapping.num_intervals p.Pareto.solution.Solution.mapping);
+            string_of_int
+              (List.length (Mapping.used_procs p.Pareto.solution.Solution.mapping));
+          ])
+      front;
+    Relpipe_util.Table.print table;
+    `Ok ()
   in
   let doc = "Print the latency/reliability Pareto front of an instance." in
   Cmd.v (Cmd.info "pareto" ~doc)
@@ -409,23 +486,20 @@ let eval_cmd =
     in
     Arg.(required & opt (some string) None & info [ "mapping" ] ~doc)
   in
-  let run path objective mapping_text =
-    match load_instance path with
+  let run inst objective mapping_text =
+    let n = Pipeline.length inst.Instance.pipeline in
+    let m = Platform.size inst.Instance.platform in
+    match Mapping_syntax.parse ~n ~m mapping_text with
     | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        let n = Pipeline.length inst.Instance.pipeline in
-        let m = Platform.size inst.Instance.platform in
-        match Mapping_syntax.parse ~n ~m mapping_text with
-        | Error msg -> `Error (false, msg)
-        | Ok mapping ->
-            let s = Solution.of_mapping inst mapping in
-            print_solution inst s;
-            Format.printf "period:   %g@."
-              (Period.of_mapping inst.Instance.pipeline inst.Instance.platform
-                 mapping);
-            let report = Validate.check inst objective s in
-            Format.printf "%a@." Validate.pp report;
-            if Validate.ok report then `Ok () else `Error (false, "validation failed"))
+    | Ok mapping ->
+        let s = Solution.of_mapping inst mapping in
+        print_solution inst s;
+        Format.printf "period:   %g@."
+          (Period.of_mapping inst.Instance.pipeline inst.Instance.platform
+             mapping);
+        let report = Validate.check inst objective s in
+        Format.printf "%a@." Validate.pp report;
+        if Validate.ok report then `Ok () else `Error (false, "validation failed")
   in
   let doc = "Evaluate and certify a user-supplied mapping." in
   Cmd.v (Cmd.info "eval" ~doc)
@@ -444,25 +518,21 @@ let tri_cmd =
     let doc = "Use the exhaustive solver (small instances only)." in
     Arg.(value & flag & info [ "exact" ] ~doc)
   in
-  let run path max_latency max_period exact =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        let constraints = { Tri.max_latency; max_period } in
-        let solve =
-          if exact then Tri.exact_min_failure ?budget:None
-          else Tri.greedy_min_failure
-        in
-        match solve inst constraints with
-        | None ->
-            Format.printf "no mapping satisfies latency <= %g and period <= %g@."
-              max_latency max_period;
-            `Ok ()
-        | Some s ->
-            Format.printf "mapping: %a@.%a@." Mapping.pp s.Tri.mapping
-              Tri.pp_evaluation s.Tri.evaluation;
-            `Ok ()
-        | exception Exact.Too_large msg -> `Error (false, msg))
+  let run inst max_latency max_period exact =
+    guarded @@ fun () ->
+    let constraints = { Tri.max_latency; max_period } in
+    let solve =
+      if exact then Tri.exact_min_failure ?budget:None
+      else Tri.greedy_min_failure
+    in
+    (match solve inst constraints with
+    | None ->
+        Format.printf "no mapping satisfies latency <= %g and period <= %g@."
+          max_latency max_period
+    | Some s ->
+        Format.printf "mapping: %a@.%a@." Mapping.pp s.Tri.mapping
+          Tri.pp_evaluation s.Tri.evaluation);
+    `Ok ()
   in
   let doc =
     "Minimize failure probability under joint latency and period bounds \
@@ -479,46 +549,35 @@ let goodput_cmd =
     in
     Arg.(value & opt float 1000.0 & info [ "mission" ] ~doc)
   in
-  let trials_arg =
-    let doc = "Number of simulated missions." in
-    Arg.(value & opt int 1000 & info [ "t"; "trials" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Random seed." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
-  in
-  let run path objective method_ mission trials seed =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        match Solver.solve ~method_ inst objective with
-        | None -> `Error (false, "no feasible mapping to simulate")
-        | Some s ->
-            print_solution inst s;
-            let platform = inst.Instance.platform in
-            let rates =
-              Array.init (Platform.size platform) (fun u ->
-                  Failure_rate.rate_of_fp ~fp:(Platform.failure platform u)
-                    ~mission)
-            in
-            let rng = Relpipe_util.Rng.create seed in
-            let goodputs =
-              Array.init trials (fun _ ->
-                  (Relpipe_sim.Lifetime.run rng inst s.Solution.mapping ~rates
-                     ~mission)
-                    .Relpipe_sim.Lifetime.goodput)
-            in
-            let empirical, analytic =
-              Relpipe_sim.Lifetime.survival_estimate rng inst s.Solution.mapping
-                ~rates ~mission ~trials
-            in
-            Format.printf "goodput: %a@."
-              Relpipe_util.Stats.pp_summary
-              (Relpipe_util.Stats.summarize goodputs);
-            Format.printf "mission survival: empirical %.4f, analytic %.4f@."
-              empirical analytic;
-            `Ok ()
-        | exception Invalid_argument msg -> `Error (false, msg))
+  let run inst objective method_ mission trials seed =
+    guarded @@ fun () ->
+    match Solver.solve ~method_ inst objective with
+    | None -> `Error (false, "no feasible mapping to simulate")
+    | Some s ->
+        print_solution inst s;
+        let platform = inst.Instance.platform in
+        let rates =
+          Array.init (Platform.size platform) (fun u ->
+              Failure_rate.rate_of_fp ~fp:(Platform.failure platform u)
+                ~mission)
+        in
+        let rng = Relpipe_util.Rng.create seed in
+        let goodputs =
+          Array.init trials (fun _ ->
+              (Relpipe_sim.Lifetime.run rng inst s.Solution.mapping ~rates
+                 ~mission)
+                .Relpipe_sim.Lifetime.goodput)
+        in
+        let empirical, analytic =
+          Relpipe_sim.Lifetime.survival_estimate rng inst s.Solution.mapping
+            ~rates ~mission ~trials
+        in
+        Format.printf "goodput: %a@."
+          Relpipe_util.Stats.pp_summary
+          (Relpipe_util.Stats.summarize goodputs);
+        Format.printf "mission survival: empirical %.4f, analytic %.4f@."
+          empirical analytic;
+        `Ok ()
   in
   let doc =
     "Solve, then measure goodput (fraction of the stream completed before \
@@ -528,7 +587,8 @@ let goodput_cmd =
     Term.(
       ret
         (const run $ instance_arg $ objective_arg $ method_arg $ mission_arg
-        $ trials_arg $ seed_arg))
+        $ trials_arg ~doc:"Number of simulated missions." 1000
+        $ seed_arg 42))
 
 let experiments_cmd =
   let only_arg =
@@ -551,25 +611,26 @@ let experiments_cmd =
           match only with None -> true | Some s -> contains s title)
         (Relpipe_experiments.Experiments.all ())
     in
-    if selected = [] then `Error (false, "no experiment matches")
-    else begin
-      List.iter
-        (fun (title, table) ->
-          if markdown then begin
-            Printf.printf "## %s\n\n" title;
-            print_string (Relpipe_util.Table.render_markdown table)
-          end
-          else begin
-            print_endline title;
-            print_endline (String.make (String.length title) '=');
-            Relpipe_util.Table.print table
-          end;
-          print_newline ())
-        selected;
-      `Ok ()
-    end
+    match selected with
+    | [] -> `Error (false, "no experiment matches")
+    | _ :: _ ->
+        List.iter
+          (fun (title, experiment) ->
+            let table = experiment () in
+            if markdown then begin
+              Printf.printf "## %s\n\n" title;
+              print_string (Relpipe_util.Table.render_markdown table)
+            end
+            else begin
+              print_endline title;
+              print_endline (String.make (String.length title) '=');
+              Relpipe_util.Table.print table
+            end;
+            print_newline ())
+          selected;
+        `Ok ()
   in
-  let doc = "Regenerate the paper experiments (DESIGN.md E1-E23)." in
+  let doc = "Regenerate the paper experiments (DESIGN.md E1-E24)." in
   Cmd.v (Cmd.info "experiments" ~doc)
     Term.(ret (const run $ only_arg $ markdown_arg))
 
@@ -612,20 +673,24 @@ let catalog_cmd =
     | Some name -> (
         match Relpipe_workload.Catalog.find name with
         | None -> `Error (false, Printf.sprintf "unknown preset %S" name)
-        | Some e ->
+        | Some e -> (
             let inst =
               Instance.make
                 (Relpipe_workload.Jpeg.pipeline ())
                 e.Relpipe_workload.Catalog.platform
             in
-            Out_channel.with_open_text out (fun oc ->
-                Out_channel.output_string oc
-                  (Printf.sprintf "# %s: %s\n"
-                     e.Relpipe_workload.Catalog.name
-                     e.Relpipe_workload.Catalog.description
-                  ^ Textio.to_string inst));
-            Format.printf "wrote %s@." out;
-            `Ok ())
+            match
+              with_output out (fun oc ->
+                  Out_channel.output_string oc
+                    (Printf.sprintf "# %s: %s\n"
+                       e.Relpipe_workload.Catalog.name
+                       e.Relpipe_workload.Catalog.description
+                    ^ Textio.to_string inst))
+            with
+            | Error msg -> `Error (false, msg)
+            | Ok () ->
+                Format.printf "wrote %s@." out;
+                `Ok ()))
   in
   let doc = "List the built-in platform presets, or export one as an instance." in
   Cmd.v (Cmd.info "catalog" ~doc) Term.(ret (const run $ write_arg $ out_arg))
@@ -638,13 +703,6 @@ let lint_cmd =
        $(b,--builtin)."
     in
     Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let format_arg =
-    let doc = "Output format: text or json." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc)
   in
   let mapping_arg =
     let doc =
@@ -663,26 +721,6 @@ let lint_cmd =
     in
     Arg.(value & flag & info [ "builtin" ] ~doc)
   in
-  let print_rules () =
-    let table =
-      Relpipe_util.Table.create
-        ~aligns:
-          [ Relpipe_util.Table.Left; Relpipe_util.Table.Left;
-            Relpipe_util.Table.Left; Relpipe_util.Table.Left ]
-        [ "id"; "severity"; "pass"; "title" ]
-    in
-    List.iter
-      (fun r ->
-        Relpipe_util.Table.add_row table
-          [
-            r.A.Rule.id;
-            A.Severity.to_string r.A.Rule.severity;
-            A.Rule.pass_name r.A.Rule.pass;
-            r.A.Rule.title;
-          ])
-      (A.Analysis.rules ());
-    Relpipe_util.Table.print table
-  in
   let report_text ~file diags =
     if diags = [] then Format.printf "%s: clean@." file
     else
@@ -692,11 +730,7 @@ let lint_cmd =
      otherwise (hints are informational). *)
   let finish diags =
     let code = A.Diagnostic.exit_code diags in
-    if code = 0 then `Ok ()
-    else begin
-      Format.print_flush ();
-      Stdlib.exit code
-    end
+    if code = 0 then `Ok () else exit_with code
   in
   let builtin_instances () =
     let jpeg = Relpipe_workload.Jpeg.pipeline () in
@@ -714,7 +748,16 @@ let lint_cmd =
   in
   let run file format mapping rules builtin =
     if rules then begin
-      print_rules ();
+      print_rule_table "pass"
+        (List.map
+           (fun r ->
+             [
+               r.A.Rule.id;
+               A.Severity.to_string r.A.Rule.severity;
+               A.Rule.pass_name r.A.Rule.pass;
+               r.A.Rule.title;
+             ])
+           (A.Analysis.rules ()));
       `Ok ()
     end
     else if builtin then begin
@@ -734,32 +777,35 @@ let lint_cmd =
       match file with
       | None ->
           `Error (true, "pass an instance FILE (or --rules / --builtin)")
-      | Some path ->
-          let text = In_channel.with_open_text path In_channel.input_all in
-          let instance_diags = A.Analysis.lint_instance_text text in
-          let mapping_diags =
-            match mapping with
-            | None -> []
-            | Some mtext -> (
-                (* Mapping rules need the instance's shape; skip (with an
-                   error already reported) when it does not even parse. *)
-                match Textio.parse text with
-                | Error _ -> []
-                | Ok inst ->
-                    let n = Pipeline.length inst.Instance.pipeline in
-                    let m = Platform.size inst.Instance.platform in
-                    A.Analysis.lint_mapping_text ~n ~m mtext)
-          in
-          (match format with
-          | `Text ->
-              report_text ~file:path instance_diags;
-              if mapping <> None then
-                report_text ~file:"<mapping>" mapping_diags
-          | `Json ->
-              print_endline
-                (A.Diagnostic.report_to_json ~file:path
-                   (instance_diags @ mapping_diags)));
-          finish (instance_diags @ mapping_diags)
+      | Some path -> (
+          match with_input path In_channel.input_all with
+          | Error msg -> `Error (false, msg)
+          | Ok text ->
+              let instance_diags = A.Analysis.lint_instance_text text in
+              let mapping_diags =
+                match mapping with
+                | None -> []
+                | Some mtext -> (
+                    (* Mapping rules need the instance's shape; skip (with
+                       an error already reported) when it does not even
+                       parse. *)
+                    match Textio.parse text with
+                    | Error _ -> []
+                    | Ok inst ->
+                        let n = Pipeline.length inst.Instance.pipeline in
+                        let m = Platform.size inst.Instance.platform in
+                        A.Analysis.lint_mapping_text ~n ~m mtext)
+              in
+              (match format with
+              | `Text ->
+                  report_text ~file:path instance_diags;
+                  if mapping <> None then
+                    report_text ~file:"<mapping>" mapping_diags
+              | `Json ->
+                  print_endline
+                    (A.Diagnostic.report_to_json ~file:path
+                       (instance_diags @ mapping_diags)));
+              finish (instance_diags @ mapping_diags))
   in
   let doc = "Statically check an instance (and optionally a mapping)." in
   let man =
@@ -785,65 +831,37 @@ let lint_cmd =
 (* Batch service                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let workers_arg =
-  let doc =
-    "Worker domains for the solve phase (0 = all CPUs).  Clamped to the \
-     detected CPU count unless $(b,--exact-workers) is set."
+(* How batch, sweep, atlas and serve build their engine. *)
+type engine_opts = { workers : int; cache_size : int; stats : bool }
+
+let engine_arg =
+  let cache_size =
+    let doc = "Result-cache capacity (canonical instances; 0 disables)." in
+    Arg.(value & opt (int_at_least 0) 1024 & info [ "cache-size" ] ~doc)
   in
-  Arg.(value & opt int 0 & info [ "w"; "workers" ] ~doc)
-
-let exact_workers_arg =
-  let doc =
-    "Spawn exactly the requested number of domains, even beyond the CPU \
-     count (oversubscription; used by tests to exercise scheduling on \
-     small machines).  Output is byte-identical either way."
+  let stats =
+    let doc = "Print engine and cache counters to stderr after the batch." in
+    Arg.(value & flag & info [ "stats" ] ~doc)
   in
-  Arg.(value & flag & info [ "exact-workers" ] ~doc)
+  let make workers cache_size stats = { workers; cache_size; stats } in
+  Term.(const make $ workers_arg $ cache_size $ stats)
 
-let cache_size_arg =
-  let doc = "Result-cache capacity (canonical instances; 0 disables)." in
-  Arg.(value & opt int 1024 & info [ "cache-size" ] ~doc)
+(* The worker count is already resolved, CPU cap included. *)
+let make_engine ?obs ?(cache_shards = 1) opts =
+  Service.Engine.create ?obs ~workers:opts.workers ~cap_to_cpus:false
+    ~cache_capacity:opts.cache_size ~cache_shards ()
 
-let stats_flag =
-  let doc = "Print engine and cache counters to stderr after the batch." in
-  Arg.(value & flag & info [ "stats" ] ~doc)
+let print_stats opts engine =
+  if opts.stats then
+    Format.eprintf "%a@." Service.Engine.pp_stats (Service.Engine.stats engine)
 
 let output_arg =
   let doc = "Write JSONL responses here ($(b,-) = stdout)." in
   Arg.(value & opt string "-" & info [ "o"; "output" ] ~doc)
 
-let make_engine ?obs ?(cache_shards = 1) ~workers ~exact_workers ~cache_size ()
-    =
-  let workers =
-    if workers <= 0 then Pool.cpu_count () else workers
-  in
-  Service.Engine.create ?obs ~workers ~cap_to_cpus:(not exact_workers)
-    ~cache_capacity:cache_size ~cache_shards ()
-
-(* Write failures on the response sink (unwritable path, ENOSPC, a
-   closed pipe) surface as a typed CLI error naming the path, never an
-   uncaught Sys_error — and never a silently truncated batch. *)
-let with_output path f =
-  let name = if path = "-" then "stdout" else path in
-  match
-    match path with
-    | "-" ->
-        f stdout;
-        flush stdout
-    | path ->
-        (* Flush inside the guarded region: with_open_text closes with
-           close_noerr, which would swallow an ENOSPC at close time. *)
-        Out_channel.with_open_text path (fun oc ->
-            f oc;
-            Out_channel.flush oc)
-  with
-  | () -> Ok ()
-  | exception Sys_error msg ->
-      Error (Printf.sprintf "cannot write %s: %s" name msg)
-
-let finish_batch engine stats =
-  if stats then
-    Format.eprintf "%a@." Service.Engine.pp_stats (Service.Engine.stats engine)
+let requests_arg =
+  let doc = "JSONL request file ($(b,-) = stdin), one request per line." in
+  Arg.(value & pos 0 string "-" & info [] ~docv:"REQUESTS" ~doc)
 
 let metrics_arg =
   let doc = "Write a JSONL metric snapshot here after the batch." in
@@ -852,14 +870,6 @@ let metrics_arg =
 let trace_arg =
   let doc = "Write the JSONL span/event trace here after the batch." in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let virtual_clock_flag =
-  let doc =
-    "Timestamp metrics and traces with a deterministic virtual clock \
-     (fixed tick per reading) instead of the monotonic clock, so the \
-     files are byte-identical across runs and worker counts."
-  in
-  Arg.(value & flag & info [ "virtual-clock" ] ~doc)
 
 let make_obs ~tracing ~virtual_clock =
   let clock =
@@ -875,7 +885,7 @@ let open_sink = function
   | Some path -> (
       match Out_channel.open_text path with
       | oc -> Ok (Some oc)
-      | exception Sys_error msg -> Error msg)
+      | exception Sys_error msg -> Error (io_error "write" path msg))
 
 let close_sink = function
   | None -> ()
@@ -889,12 +899,7 @@ let write_sink sink content =
       Out_channel.close oc
 
 let batch_cmd =
-  let input_arg =
-    let doc = "JSONL request file ($(b,-) = stdin), one request per line." in
-    Arg.(value & pos 0 string "-" & info [] ~docv:"REQUESTS" ~doc)
-  in
-  let run input output workers exact_workers cache_size stats metrics trace
-      virtual_clock =
+  let run input output opts metrics trace virtual_clock =
     match (open_sink metrics, open_sink trace) with
     | Error msg, other ->
         (match other with Ok s -> close_sink s | Error _ -> ());
@@ -903,16 +908,12 @@ let batch_cmd =
         close_sink metrics_sink;
         `Error (false, msg)
     | Ok metrics_sink, Ok trace_sink -> (
-        match
-          match input with
-          | "-" -> In_channel.input_lines stdin
-          | path -> In_channel.with_open_text path In_channel.input_lines
-        with
-        | exception Sys_error msg ->
+        match with_input input In_channel.input_lines with
+        | Error msg ->
             close_sink metrics_sink;
             close_sink trace_sink;
             `Error (false, msg)
-        | lines -> (
+        | Ok lines -> (
             let obs =
               match (metrics_sink, trace_sink) with
               | None, None -> None
@@ -922,7 +923,7 @@ let batch_cmd =
                        ~tracing:(Option.is_some trace_sink)
                        ~virtual_clock)
             in
-            let engine = make_engine ?obs ~workers ~exact_workers ~cache_size () in
+            let engine = make_engine ?obs opts in
             let responses = Service.Engine.run_lines engine lines in
             match
               with_output output (fun oc ->
@@ -942,7 +943,7 @@ let batch_cmd =
                 | Some o ->
                     write_sink metrics_sink (Relpipe_obs.Obs.metrics_jsonl o);
                     write_sink trace_sink (Relpipe_obs.Obs.trace_jsonl o));
-                finish_batch engine stats;
+                print_stats opts engine;
                 `Ok ()))
   in
   let doc = "Batch-solve a JSON-lines request stream." in
@@ -975,63 +976,58 @@ let batch_cmd =
   Cmd.v (Cmd.info "batch" ~doc ~man)
     Term.(
       ret
-        (const run $ input_arg $ output_arg $ workers_arg $ exact_workers_arg
-       $ cache_size_arg $ stats_flag $ metrics_arg $ trace_arg
-       $ virtual_clock_flag))
+        (const run $ requests_arg $ output_arg $ engine_arg $ metrics_arg
+       $ trace_arg $ virtual_clock_flag))
 
 let prof_cmd =
-  let run path objective method_ virtual_clock =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst ->
-        let obs = make_obs ~tracing:true ~virtual_clock in
-        let engine = Service.Engine.create ~obs ~workers:1 () in
-        let r = Service.Engine.solve_instance engine ~method_ inst objective in
-        (match r.Service.Protocol.r_outcome with
-        | Service.Protocol.Solved { mapping; latency; failure } ->
-            Format.printf "status:   solved@.";
-            Format.printf "mapping:  %s@." mapping;
-            Format.printf "latency:  %g@." latency;
-            Format.printf "failure:  %g@." failure
-        | Service.Protocol.Infeasible -> Format.printf "status:   infeasible@."
-        | Service.Protocol.Failed msg ->
-            Format.printf "status:   error (%s)@." msg);
-        let module T = Relpipe_util.Table in
-        print_newline ();
-        let phases = T.create [ "span"; "start_ns"; "dur_ns" ] in
-        (match obs.Relpipe_obs.Obs.trace with
-        | None -> ()
-        | Some tr ->
-            List.iter
-              (fun (ev : Relpipe_obs.Trace.event) ->
-                match ev.Relpipe_obs.Trace.dur with
-                | Some d
-                  when String.starts_with ~prefix:"engine." ev.Relpipe_obs.Trace.name
-                  ->
-                    T.add_row phases
-                      [
-                        ev.Relpipe_obs.Trace.name;
-                        string_of_int ev.Relpipe_obs.Trace.ts;
-                        string_of_int d;
-                      ]
-                | _ -> ())
-              (Relpipe_obs.Trace.events tr));
-        print_string (T.render phases);
-        print_newline ();
-        let metrics = T.create [ "metric"; "value" ] in
+  let run inst objective method_ virtual_clock =
+    let obs = make_obs ~tracing:true ~virtual_clock in
+    let engine = Service.Engine.create ~obs ~workers:1 () in
+    let r = Service.Engine.solve_instance engine ~method_ inst objective in
+    (match r.Service.Protocol.r_outcome with
+    | Service.Protocol.Solved { mapping; latency; failure } ->
+        Format.printf "status:   solved@.";
+        Format.printf "mapping:  %s@." mapping;
+        Format.printf "latency:  %g@." latency;
+        Format.printf "failure:  %g@." failure
+    | Service.Protocol.Infeasible -> Format.printf "status:   infeasible@."
+    | Service.Protocol.Failed msg ->
+        Format.printf "status:   error (%s)@." msg);
+    let module T = Relpipe_util.Table in
+    print_newline ();
+    let phases = T.create [ "span"; "start_ns"; "dur_ns" ] in
+    (match obs.Relpipe_obs.Obs.trace with
+    | None -> ()
+    | Some tr ->
         List.iter
-          (fun (name, view) ->
-            let value =
-              match view with
-              | Relpipe_obs.Metric.Counter_v v | Relpipe_obs.Metric.Gauge_v v ->
-                  string_of_int v
-              | Relpipe_obs.Metric.Histogram_v { count; sum } ->
-                  Printf.sprintf "n=%d sum=%s" count (T.fmt_float sum)
-            in
-            T.add_row metrics [ name; value ])
-          (Relpipe_obs.Metric.bindings obs.Relpipe_obs.Obs.metrics);
-        print_string (T.render metrics);
-        `Ok ()
+          (fun (ev : Relpipe_obs.Trace.event) ->
+            match ev.Relpipe_obs.Trace.dur with
+            | Some d
+              when String.starts_with ~prefix:"engine." ev.Relpipe_obs.Trace.name
+              ->
+                T.add_row phases
+                  [
+                    ev.Relpipe_obs.Trace.name;
+                    string_of_int ev.Relpipe_obs.Trace.ts;
+                    string_of_int d;
+                  ]
+            | _ -> ())
+          (Relpipe_obs.Trace.events tr));
+    print_string (T.render phases);
+    print_newline ();
+    let metrics = T.create [ "metric"; "value" ] in
+    List.iter
+      (fun (name, view) ->
+        let value =
+          match view with
+          | Relpipe_obs.Metric.Counter_v v | Relpipe_obs.Metric.Gauge_v v ->
+              string_of_int v
+          | Relpipe_obs.Metric.Histogram_v { count; sum } ->
+              Printf.sprintf "n=%d sum=%s" count (T.fmt_float sum)
+        in
+        T.add_row metrics [ name; value ])
+      (Relpipe_obs.Metric.bindings obs.Relpipe_obs.Obs.metrics);
+    print_string (T.render metrics)
   in
   let doc = "Profile one solve: per-phase spans and solver counters." in
   let man =
@@ -1052,18 +1048,12 @@ let prof_cmd =
   in
   Cmd.v (Cmd.info "prof" ~doc ~man)
     Term.(
-      ret
-        (const run $ instance_arg $ objective_arg $ method_arg
-       $ virtual_clock_flag))
+      const run $ instance_arg $ objective_arg $ method_arg $ virtual_clock_flag)
 
 let sweep_cmd =
   let count_arg =
     let doc = "Number of scenarios to generate." in
-    Arg.(value & opt int 50 & info [ "n"; "count" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Random seed for the generators." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 50 & info [ "n"; "count" ] ~doc)
   in
   let class_arg =
     let classes =
@@ -1084,11 +1074,11 @@ let sweep_cmd =
   in
   let stages_arg =
     let doc = "Pipeline length of each scenario." in
-    Arg.(value & opt int 8 & info [ "stages" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 8 & info [ "stages" ] ~doc)
   in
   let procs_arg =
     let doc = "Platform size of each scenario." in
-    Arg.(value & opt int 6 & info [ "procs" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 6 & info [ "procs" ] ~doc)
   in
   let emit_arg =
     let doc = "Also write the generated requests as JSONL to this file." in
@@ -1124,59 +1114,53 @@ let sweep_cmd =
         P.two_tier ~m_slow:1 ~m_fast:(max 1 (m - 1)) ~slow_speed:1.0
           ~fast_speed:100.0 ~slow_failure:0.1 ~fast_failure:0.8 ~bandwidth:1.0
   in
-  let run count seed class_ n m objective method_ output workers exact_workers
-      cache_size stats emit dry_run =
-    if count <= 0 then `Error (false, "--count must be positive")
-    else begin
-      let rng = Relpipe_util.Rng.create seed in
-      let requests =
-        Array.init count (fun k ->
-            let pipeline =
-              Relpipe_workload.App_gen.random rng
-                {
-                  Relpipe_workload.App_gen.n;
-                  work = (1.0, 20.0);
-                  data = (0.5, 10.0);
-                }
-            in
-            let platform = gen_platform rng class_ ~m in
-            let inst = Instance.make pipeline platform in
-            Service.Protocol.request
-              ~id:(Printf.sprintf "sweep-%03d" k)
-              ~method_
-              ~instance:(Service.Protocol.Inline (Textio.to_string inst))
-              objective)
-      in
-      (match emit with
-      | None -> ()
+  let write_lines encode path items =
+    with_output path (fun oc ->
+        Array.iter
+          (fun r ->
+            Out_channel.output_string oc (encode r);
+            Out_channel.output_char oc '\n')
+          items)
+  in
+  let run count seed class_ n m objective method_ output opts emit dry_run =
+    let rng = Relpipe_util.Rng.create seed in
+    let requests =
+      Array.init count (fun k ->
+          let pipeline =
+            Relpipe_workload.App_gen.random rng
+              {
+                Relpipe_workload.App_gen.n;
+                work = (1.0, 20.0);
+                data = (0.5, 10.0);
+              }
+          in
+          let platform = gen_platform rng class_ ~m in
+          let inst = Instance.make pipeline platform in
+          Service.Protocol.request
+            ~id:(Printf.sprintf "sweep-%03d" k)
+            ~method_
+            ~instance:(Service.Protocol.Inline (Textio.to_string inst))
+            objective)
+    in
+    let emitted =
+      match emit with
+      | None -> Ok ()
       | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Array.iter
-                (fun r ->
-                  Out_channel.output_string oc
-                    (Service.Protocol.encode_request r);
-                  Out_channel.output_char oc '\n')
-                requests);
-          Format.eprintf "wrote %d requests to %s@." count path);
-      if dry_run then `Ok ()
-      else begin
-        let engine = make_engine ~workers ~exact_workers ~cache_size () in
+          Result.map
+            (fun () -> Format.eprintf "wrote %d requests to %s@." count path)
+            (write_lines Service.Protocol.encode_request path requests)
+    in
+    match emitted with
+    | Error msg -> `Error (false, msg)
+    | Ok () when dry_run -> `Ok ()
+    | Ok () -> (
+        let engine = make_engine opts in
         let responses = Service.Engine.run_requests engine requests in
-        match
-          with_output output (fun oc ->
-              Array.iter
-                (fun r ->
-                  Out_channel.output_string oc
-                    (Service.Protocol.encode_response r);
-                  Out_channel.output_char oc '\n')
-                responses)
-        with
+        match write_lines Service.Protocol.encode_response output responses with
         | Error msg -> `Error (false, msg)
         | Ok () ->
-            finish_batch engine stats;
-            `Ok ()
-      end
-    end
+            print_stats opts engine;
+            `Ok ())
   in
   let doc =
     "Generate synthetic scenarios and push them through the batch engine."
@@ -1198,20 +1182,16 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc ~man)
     Term.(
       ret
-        (const run $ count_arg $ seed_arg $ class_arg $ stages_arg $ procs_arg
-       $ objective_arg $ method_arg $ output_arg $ workers_arg
-       $ exact_workers_arg $ cache_size_arg $ stats_flag $ emit_arg
-       $ dry_run_arg))
+        (const run $ count_arg
+        $ seed_arg ~doc:"Random seed for the generators." 42
+        $ class_arg $ stages_arg $ procs_arg $ objective_arg $ method_arg
+        $ output_arg $ engine_arg $ emit_arg $ dry_run_arg))
 
 let atlas_cmd =
   let module Stream_gen = Relpipe_workload.Stream_gen in
   let requests_arg =
     let doc = "Stream length (number of requests to replay)." in
-    Arg.(value & opt int 10_000 & info [ "n"; "requests" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Master seed for the workload (pool, slots and gaps)." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc)
+    Arg.(value & opt (int_at_least 0) 10_000 & info [ "n"; "requests" ] ~doc)
   in
   let pool_arg =
     let doc = "Distinct instances in the workload pool." in
@@ -1236,7 +1216,7 @@ let atlas_cmd =
       "Requests per engine call — the only stream-length-proportional \
        buffer the driver holds."
     in
-    Arg.(value & opt int 512 & info [ "chunk" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 512 & info [ "chunk" ] ~doc)
   in
   let unix_arg =
     let doc =
@@ -1266,8 +1246,8 @@ let atlas_cmd =
             | Error msg -> failwith ("atlas: bad response line: " ^ msg)))
       reqs
   in
-  let run requests seed pool zipf burst chunk unix_path output workers
-      exact_workers cache_size stats metrics virtual_clock gc_stats =
+  let run requests seed pool zipf burst chunk unix_path output opts metrics
+      virtual_clock gc_stats =
     let spec =
       {
         Stream_gen.default_spec with
@@ -1339,15 +1319,13 @@ let atlas_cmd =
             match
               match unix_path with
               | None ->
-                  let engine =
-                    make_engine ?obs ~workers ~exact_workers ~cache_size ()
-                  in
+                  let engine = make_engine ?obs opts in
                   let report =
                     Service.Atlas.run ?obs ~chunk
                       ~solve:(Service.Engine.run_requests engine)
                       source
                   in
-                  finish_batch engine stats;
+                  print_stats opts engine;
                   finish report
               | Some path -> (
                   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -1403,33 +1381,23 @@ let atlas_cmd =
   Cmd.v (Cmd.info "atlas" ~doc ~man)
     Term.(
       ret
-        (const run $ requests_arg $ seed_arg $ pool_arg $ zipf_arg $ burst_arg
-       $ chunk_arg $ unix_arg $ output_arg $ workers_arg $ exact_workers_arg
-       $ cache_size_arg $ stats_flag $ metrics_arg $ virtual_clock_flag
-       $ gc_stats_flag))
+        (const run $ requests_arg
+        $ seed_arg ~doc:"Master seed for the workload (pool, slots and gaps)." 1
+        $ pool_arg $ zipf_arg $ burst_arg $ chunk_arg $ unix_arg $ output_arg
+        $ engine_arg $ metrics_arg $ virtual_clock_flag $ gc_stats_flag))
 
 let fuzz_cmd =
   let module Fuzz = Relpipe_fuzz in
-  let seed_arg =
-    let doc = "Master seed; the whole campaign is a pure function of it." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
-  in
   let count_arg =
     let doc = "Number of random cases to generate." in
-    Arg.(value & opt int 100 & info [ "n"; "count" ] ~doc)
+    Arg.(value & opt (int_at_least 0) 100 & info [ "n"; "count" ] ~doc)
   in
   let oracle_arg =
     let doc =
-      "Run only this oracle (repeatable; see $(b,--list-oracles))."
+      "Run only this oracle (repeatable; see $(b,--list-oracles)).  Without \
+       it every registered oracle runs."
     in
     Arg.(value & opt_all string [] & info [ "oracle" ] ~docv:"NAME" ~doc)
-  in
-  let all_flag =
-    let doc =
-      "Run every registered oracle (explicit form of the default when no \
-       $(b,--oracle) is given; overrides $(b,--oracle))."
-    in
-    Arg.(value & flag & info [ "all-oracles" ] ~doc)
   in
   let list_flag =
     let doc = "Print the oracle registry and exit." in
@@ -1439,14 +1407,14 @@ let fuzz_cmd =
     let doc = "Largest pipeline length to generate." in
     Arg.(
       value
-      & opt int Fuzz.Gen.default_shape.Fuzz.Gen.max_stages
+      & opt (int_at_least 1) Fuzz.Gen.default_shape.Fuzz.Gen.max_stages
       & info [ "max-stages" ] ~doc)
   in
   let max_procs_arg =
     let doc = "Largest platform size to generate." in
     Arg.(
       value
-      & opt int Fuzz.Gen.default_shape.Fuzz.Gen.max_procs
+      & opt (int_at_least 1) Fuzz.Gen.default_shape.Fuzz.Gen.max_procs
       & info [ "max-procs" ] ~doc)
   in
   let out_dir_arg =
@@ -1471,8 +1439,17 @@ let fuzz_cmd =
     in
     Arg.(value & opt float 0.0 & info [ "perturb" ] ~doc)
   in
-  let run seed count oracle_names all_oracles list max_stages max_procs workers
-      exact_workers out_dir replays perturb =
+  (* Created before the campaign, like the batch sinks, so a bad path
+     fails before the work instead of losing the report after it. *)
+  let make_out_dir = function
+    | Some dir when not (Sys.file_exists dir) -> (
+        match Sys.mkdir dir 0o755 with
+        | () -> Ok ()
+        | exception Sys_error msg -> Error (io_error "write" dir msg))
+    | _ -> Ok ()
+  in
+  let run seed count oracle_names list max_stages max_procs workers out_dir
+      replays perturb =
     if list then begin
       print_string (Fuzz.Runner.list_oracles_text ());
       `Ok ()
@@ -1491,15 +1468,12 @@ let fuzz_cmd =
               Printf.printf "%s: %s\n" path
                 (Fuzz.Oracle.outcome_to_string outcome))
         replays;
-      if !failed then begin
-        Stdlib.flush Stdlib.stdout;
-        Stdlib.exit 1
-      end;
+      if !failed then exit_with 1;
       `Ok ()
     end
-    else begin
+    else
       let oracles =
-        if all_oracles || oracle_names = [] then Ok (Fuzz.Oracles.all ())
+        if oracle_names = [] then Ok (Fuzz.Oracles.all ())
         else
           List.fold_left
             (fun acc name ->
@@ -1516,35 +1490,27 @@ let fuzz_cmd =
       in
       match oracles with
       | Error msg -> `Error (false, msg)
-      | Ok _ when count < 0 -> `Error (false, "--count must be non-negative")
-      | Ok _ when max_stages < 1 || max_procs < 1 ->
-          `Error (false, "--max-stages and --max-procs must be positive")
-      | Ok oracles ->
-          let workers =
-            Pool.effective_workers ~cap:(not exact_workers)
-              (if workers <= 0 then Pool.cpu_count () else workers)
-          in
-          let report =
-            Fuzz.Runner.run
-              {
-                Fuzz.Runner.seed;
-                count;
-                oracles;
-                max_stages;
-                max_procs;
-                workers;
-                perturb;
-                out_dir;
-                obs = None;
-              }
-          in
-          print_string (Fuzz.Runner.render report);
-          if report.Fuzz.Runner.r_failures <> [] then begin
-            Stdlib.flush Stdlib.stdout;
-            Stdlib.exit 1
-          end;
-          `Ok ()
-    end
+      | Ok oracles -> (
+          match make_out_dir out_dir with
+          | Error msg -> `Error (false, msg)
+          | Ok () ->
+              let report =
+                Fuzz.Runner.run
+                  {
+                    Fuzz.Runner.seed;
+                    count;
+                    oracles;
+                    max_stages;
+                    max_procs;
+                    workers;
+                    perturb;
+                    out_dir;
+                    obs = None;
+                  }
+              in
+              print_string (Fuzz.Runner.render report);
+              if report.Fuzz.Runner.r_failures <> [] then exit_with 1;
+              `Ok ())
   in
   let doc =
     "Differential fuzzing: random instances, cross-checking oracles, \
@@ -1573,9 +1539,12 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc ~man)
     Term.(
       ret
-        (const run $ seed_arg $ count_arg $ oracle_arg $ all_flag $ list_flag
-       $ max_stages_arg $ max_procs_arg $ workers_arg $ exact_workers_arg
-       $ out_dir_arg $ replay_arg $ perturb_arg))
+        (const run
+        $ seed_arg
+            ~doc:"Master seed; the whole campaign is a pure function of it."
+            42
+        $ count_arg $ oracle_arg $ list_flag $ max_stages_arg $ max_procs_arg
+        $ workers_arg $ out_dir_arg $ replay_arg $ perturb_arg))
 
 let devlint_cmd =
   let module DL = Relpipe_devlint in
@@ -1586,13 +1555,6 @@ let devlint_cmd =
        (run from the repository root)."
     in
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
-  in
-  let format_arg =
-    let doc = "Output format: text or json." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc)
   in
   let list_rules_flag =
     let doc = "Print the source-rule catalog and exit." in
@@ -1616,30 +1578,19 @@ let devlint_cmd =
     in
     Arg.(value & opt_all string [] & info [ "family" ] ~docv:"FAMILY" ~doc)
   in
-  let print_rules () =
-    let table =
-      Relpipe_util.Table.create
-        ~aligns:
-          [ Relpipe_util.Table.Left; Relpipe_util.Table.Left;
-            Relpipe_util.Table.Left; Relpipe_util.Table.Left ]
-        [ "id"; "severity"; "family"; "title" ]
-    in
-    List.iter
-      (fun (r : DL.Drule.t) ->
-        Relpipe_util.Table.add_row table
-          [
-            r.DL.Drule.id;
-            A.Severity.to_string r.DL.Drule.severity;
-            r.DL.Drule.family;
-            r.DL.Drule.title;
-          ])
-      (DL.Driver.rules ());
-    Relpipe_util.Table.print table
-  in
   let default_roots = [ "lib"; "bin"; "bench"; "test" ] in
   let run paths format list_rules baseline no_baseline families =
     if list_rules then begin
-      print_rules ();
+      print_rule_table "family"
+        (List.map
+           (fun (r : DL.Drule.t) ->
+             [
+               r.DL.Drule.id;
+               A.Severity.to_string r.DL.Drule.severity;
+               r.DL.Drule.family;
+               r.DL.Drule.title;
+             ])
+           (DL.Driver.rules ()));
       `Ok ()
     end
     else begin
@@ -1681,11 +1632,7 @@ let devlint_cmd =
                 | `Text -> print_string (DL.Driver.render_text report)
                 | `Json -> print_endline (DL.Driver.render_json report));
                 let code = DL.Driver.exit_code report in
-                if code = 0 then `Ok ()
-                else begin
-                  Format.print_flush ();
-                  Stdlib.exit code
-                end)
+                if code = 0 then `Ok () else exit_with code)
     end
   in
   let doc = "Statically analyze the repository's own OCaml sources." in
@@ -1744,21 +1691,21 @@ let serve_cmd =
       "Global admission-queue bound; readers block (backpressure) when \
        the dispatcher is this many events behind."
     in
-    Arg.(value & opt int 256 & info [ "queue-size" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 256 & info [ "queue-size" ] ~doc)
   in
   let window_arg =
     let doc =
       "Per-session in-flight window: a session's reader blocks while \
        this many of its lines are unanswered or unwritten."
     in
-    Arg.(value & opt int 32 & info [ "session-window" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 32 & info [ "session-window" ] ~doc)
   in
   let shards_arg =
     let doc =
       "Shards of the result cache (per-shard locks; concurrent sessions \
        contend less).  Replays must use the recording's shard count."
     in
-    Arg.(value & opt int 4 & info [ "cache-shards" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 4 & info [ "cache-shards" ] ~doc)
   in
   let record_arg =
     let doc =
@@ -1777,84 +1724,74 @@ let serve_cmd =
     Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
   let run unix_path tcp_port host queue window shards record replay output
-      workers exact_workers cache_size stats virtual_clock =
-    if shards < 1 then `Error (false, "--cache-shards must be positive")
-    else
-      match replay with
-      | Some path -> (
-          match Serve.Script.load path with
-          | Error msg -> `Error (false, msg)
-          | Ok script -> (
-              let obs = make_obs ~tracing:false ~virtual_clock in
-              let engine =
-                make_engine ~obs ~cache_shards:shards ~workers ~exact_workers
-                  ~cache_size ()
-              in
-              let replies = Serve.Replay.run ~obs ~engine script in
-              match
-                with_output output (fun oc ->
-                    Out_channel.output_string oc (Serve.Replay.render replies))
-              with
-              | Error msg -> `Error (false, msg)
-              | Ok () ->
-                  finish_batch engine stats;
-                  `Ok ()))
-      | None -> (
-          let endpoints =
-            (match unix_path with
-            | Some p -> [ Serve.Server.Unix_sock p ]
-            | None -> [])
-            @
-            match tcp_port with
-            | Some port -> [ Serve.Server.Tcp (host, port) ]
-            | None -> []
-          in
-          match endpoints with
-          | [] ->
-              `Error
-                (true, "pass --unix PATH and/or --tcp PORT (or --replay FILE)")
-          | _ :: _ ->
-              let obs = make_obs ~tracing:false ~virtual_clock in
-              let engine =
-                make_engine ~obs ~cache_shards:shards ~workers ~exact_workers
-                  ~cache_size ()
-              in
-              let config =
-                {
-                  Serve.Server.endpoints;
-                  queue_capacity = queue;
-                  session_window = window;
-                  max_line = Serve.Frame.default_max_line;
-                  record;
-                }
-              in
-              (* A Signal_handle callback only runs at an OCaml
-                 safepoint, and an idle daemon has every thread parked
-                 in C waits — the handler could be delayed forever.
-                 Block the signals in every thread (the mask is
-                 inherited) and receive them synchronously on a
-                 dedicated thread instead. *)
-              ignore
-                (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
-              let (_ : Thread.t) =
-                Thread.create
-                  (fun () ->
-                    ignore (Thread.wait_signal [ Sys.sigterm; Sys.sigint ]);
-                    Serve.Server.signal_drain ())
-                  ()
-              in
-              let on_ready addrs =
-                List.iter
-                  (fun a ->
-                    Format.eprintf "listening on %s@." (sockaddr_to_string a))
-                  addrs
-              in
-              let report = Serve.Server.run ~obs ~engine ~config ~on_ready () in
-              Format.eprintf "drained: %d sessions, %d ticks, %d replies@."
-                report.Serve.Server.accepted report.Serve.Server.ticks
-                report.Serve.Server.answered;
-              finish_batch engine stats;
-              `Ok ())
+      opts virtual_clock =
+    match replay with
+    | Some path -> (
+        match Serve.Script.load path with
+        | Error msg -> `Error (false, msg)
+        | Ok script -> (
+            let obs = make_obs ~tracing:false ~virtual_clock in
+            let engine = make_engine ~obs ~cache_shards:shards opts in
+            let replies = Serve.Replay.run ~obs ~engine script in
+            match
+              with_output output (fun oc ->
+                  Out_channel.output_string oc (Serve.Replay.render replies))
+            with
+            | Error msg -> `Error (false, msg)
+            | Ok () ->
+                print_stats opts engine;
+                `Ok ()))
+    | None -> (
+        let endpoints =
+          (match unix_path with
+          | Some p -> [ Serve.Server.Unix_sock p ]
+          | None -> [])
+          @
+          match tcp_port with
+          | Some port -> [ Serve.Server.Tcp (host, port) ]
+          | None -> []
+        in
+        match endpoints with
+        | [] ->
+            `Error
+              (true, "pass --unix PATH and/or --tcp PORT (or --replay FILE)")
+        | _ :: _ ->
+            let obs = make_obs ~tracing:false ~virtual_clock in
+            let engine = make_engine ~obs ~cache_shards:shards opts in
+            let config =
+              {
+                Serve.Server.endpoints;
+                queue_capacity = queue;
+                session_window = window;
+                max_line = Serve.Frame.default_max_line;
+                record;
+              }
+            in
+            (* A Signal_handle callback only runs at an OCaml safepoint,
+               and an idle daemon has every thread parked in C waits —
+               the handler could be delayed forever.  Block the signals
+               in every thread (the mask is inherited) and receive them
+               synchronously on a dedicated thread instead. *)
+            ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
+            let (_ : Thread.t) =
+              Thread.create
+                (fun () ->
+                  ignore (Thread.wait_signal [ Sys.sigterm; Sys.sigint ]);
+                  Serve.Server.signal_drain ())
+                ()
+            in
+            let on_ready addrs =
+              List.iter
+                (fun a ->
+                  Format.eprintf "listening on %s@." (sockaddr_to_string a))
+                addrs
+            in
+            let report = Serve.Server.run ~obs ~engine ~config ~on_ready () in
+            Format.eprintf "drained: %d sessions, %d ticks, %d replies@."
+              report.Serve.Server.accepted report.Serve.Server.ticks
+              report.Serve.Server.answered;
+            print_stats opts engine;
+            `Ok ())
   in
   let doc = "Serve the batch protocol to concurrent clients (daemon)." in
   let man =
@@ -1886,14 +1823,9 @@ let serve_cmd =
       ret
         (const run $ unix_sock_arg $ tcp_port_arg $ host_arg $ queue_arg
        $ window_arg $ shards_arg $ record_arg $ replay_arg $ output_arg
-       $ workers_arg $ exact_workers_arg $ cache_size_arg $ stats_flag
-       $ virtual_clock_flag))
+       $ engine_arg $ virtual_clock_flag))
 
 let call_cmd =
-  let input_arg =
-    let doc = "JSONL request file ($(b,-) = stdin), one line per request." in
-    Arg.(value & pos 0 string "-" & info [] ~docv:"REQUESTS" ~doc)
-  in
   let client_arg =
     let doc = "Client name sent in the hello handshake." in
     Arg.(value & opt string "relpipe-call" & info [ "client" ] ~doc)
@@ -1924,13 +1856,10 @@ let call_cmd =
     | Ok endpoint -> (
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         match
-          match input with
-          | _ when op <> None -> []
-          | "-" -> In_channel.input_lines stdin
-          | path -> In_channel.with_open_text path In_channel.input_lines
+          if op <> None then Ok [] else with_input input In_channel.input_lines
         with
-        | exception Sys_error msg -> `Error (false, msg)
-        | request_lines -> (
+        | Error msg -> `Error (false, msg)
+        | Ok request_lines -> (
             match Serve.Client.connect endpoint with
             | exception Unix.Unix_error (e, _, _) ->
                 `Error (false, "connect: " ^ Unix.error_message e)
@@ -1951,7 +1880,7 @@ let call_cmd =
                             Service.Protocol.Shutdown;
                         ]
                     | None -> [])
-                  @ (if op = None then request_lines else [])
+                  @ request_lines
                 in
                 (* Send from a helper thread so deep pipelines cannot
                    deadlock on two full socket buffers. *)
@@ -1994,19 +1923,14 @@ let call_cmd =
   Cmd.v (Cmd.info "call" ~doc ~man)
     Term.(
       ret
-        (const run $ unix_sock_arg $ tcp_port_arg $ host_arg $ input_arg
+        (const run $ unix_sock_arg $ tcp_port_arg $ host_arg $ requests_arg
        $ client_arg $ no_hello_flag $ op_arg))
 
 let churn_cmd =
   let module Churn = Relpipe_churn in
   let events_arg =
     let doc = "Number of churn events to generate and replay." in
-    Arg.(value & opt int 20 & info [ "e"; "events" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Master seed for the scenario driver (one integer replays \
-               the whole trace)." in
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~doc)
+    Arg.(value & opt (int_at_least 0) 20 & info [ "e"; "events" ] ~doc)
   in
   let mission_arg =
     let doc = "Mission duration feeding the lifetime model that picks \
@@ -2038,103 +1962,85 @@ let churn_cmd =
     | None -> "infeasible"
     | Some v -> Printf.sprintf "%.17g" v
   in
-  let run path objective events seed mission cold verify stats workers
-      exact_workers virtual_clock =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst when Platform.size inst.Instance.platform > Interval_exact.max_procs
-      ->
-        `Error
-          ( false,
-            Printf.sprintf "churn needs at most %d processors"
-              Interval_exact.max_procs )
-    | Ok inst -> (
-        match Churn.Driver.trace ~mission ~seed ~count:events
-                (Churn.World.of_instance inst)
-        with
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | trace ->
-            let world = Churn.World.of_instance inst in
-            let obs = make_obs ~tracing:false ~virtual_clock in
-            let steps = Churn.Engine.run ~obs ~cold ~objective world trace in
-            Printf.printf "seed:      %d\n" seed;
-            Printf.printf "events:    %d\n" events;
-            (match objective with
-            | Instance.Min_latency { max_failure } ->
-                Printf.printf "objective: min-latency max-failure=%g\n"
-                  max_failure
-            | Instance.Min_failure { max_latency } ->
-                Printf.printf "objective: min-failure max-latency=%g\n"
-                  max_latency);
-            Printf.printf "\n%-5s %-26s %-5s %-22s %-22s %-22s %s\n" "step"
-              "event" "procs" "dp-latency" "latency" "failure" "moved";
-            List.iter
-              (fun (st : Churn.Engine.step) ->
-                let dp_lat = Option.map fst st.Churn.Engine.dp in
-                let lat, fail =
-                  match st.Churn.Engine.solution with
-                  | None -> (None, None)
-                  | Some s ->
-                      ( Some s.Solution.evaluation.Instance.latency,
-                        Some s.Solution.evaluation.Instance.failure )
-                in
-                Printf.printf "%-5d %-26s %-5d %-22s %-22s %-22s %d"
-                  st.Churn.Engine.index st.Churn.Engine.label
-                  (Churn.World.size st.Churn.Engine.world)
-                  (fmt_value dp_lat) (fmt_value lat) (fmt_value fail)
-                  st.Churn.Engine.moved_stages;
-                if stats then
-                  Printf.printf "  reuse=%d/%d bound=%s nodes=%d ttr=%dns"
-                    st.Churn.Engine.reuse.Interval_exact.Dp.cells_reused
-                    st.Churn.Engine.reuse.Interval_exact.Dp.cells_total
-                    (if st.Churn.Engine.warm_bound then "yes" else "no")
-                    st.Churn.Engine.bb_stats.Bb.nodes st.Churn.Engine.ttr_ns;
-                print_newline ())
-              steps;
-            let count kind =
-              List.length
-                (List.filter
-                   (fun (st : Churn.Engine.step) ->
-                     match st.Churn.Engine.event with
-                     | Some ev -> String.equal (Churn.Event.kind ev) kind
-                     | None -> false)
-                   steps)
-            in
-            let total_moved =
-              List.fold_left
-                (fun acc (st : Churn.Engine.step) ->
-                  acc + st.Churn.Engine.moved_stages)
-                0 steps
-            in
-            Printf.printf
-              "\nsummary: steps=%d deaths=%d joins=%d speed-drifts=%d \
-               bw-drifts=%d moved=%d\n"
-              (List.length steps) (count "death") (count "join")
-              (count "speed") (count "bandwidth") total_moved;
-            (match List.rev steps with
-            | last :: _ -> (
-                match last.Churn.Engine.solution with
-                | Some s ->
-                    Format.printf "final:   %a@." Mapping.pp s.Solution.mapping
-                | None -> print_string "final:   infeasible\n")
-            | [] -> ());
-            if verify then begin
-              let workers =
-                if workers <= 0 then Pool.cpu_count () else workers
-              in
-              let workers =
-                Pool.effective_workers ~cap:(not exact_workers) workers
-              in
-              if Churn.Engine.verify ~obs ~workers ~objective steps then begin
-                Printf.printf "verify:  warm == cold on %d steps\n"
-                  (List.length steps);
-                `Ok ()
-              end
-              else
-                `Error
-                  (false, "churn verify failed: warm and cold solves disagree")
-            end
-            else `Ok ())
+  let run inst objective events seed mission cold verify stats workers
+      virtual_clock =
+    if Platform.size inst.Instance.platform > Interval_exact.max_procs then
+      `Error
+        ( false,
+          Printf.sprintf "churn needs at most %d processors"
+            Interval_exact.max_procs )
+    else
+      guarded @@ fun () ->
+      let trace =
+        Churn.Driver.trace ~mission ~seed ~count:events
+          (Churn.World.of_instance inst)
+      in
+      let world = Churn.World.of_instance inst in
+      let obs = make_obs ~tracing:false ~virtual_clock in
+      let steps = Churn.Engine.run ~obs ~cold ~objective world trace in
+      Printf.printf "seed:      %d\n" seed;
+      Printf.printf "events:    %d\n" events;
+      (match objective with
+      | Instance.Min_latency { max_failure } ->
+          Printf.printf "objective: min-latency max-failure=%g\n" max_failure
+      | Instance.Min_failure { max_latency } ->
+          Printf.printf "objective: min-failure max-latency=%g\n" max_latency);
+      Printf.printf "\n%-5s %-26s %-5s %-22s %-22s %-22s %s\n" "step" "event"
+        "procs" "dp-latency" "latency" "failure" "moved";
+      List.iter
+        (fun (st : Churn.Engine.step) ->
+          let dp_lat = Option.map fst st.Churn.Engine.dp in
+          let lat, fail =
+            match st.Churn.Engine.solution with
+            | None -> (None, None)
+            | Some s ->
+                ( Some s.Solution.evaluation.Instance.latency,
+                  Some s.Solution.evaluation.Instance.failure )
+          in
+          Printf.printf "%-5d %-26s %-5d %-22s %-22s %-22s %d"
+            st.Churn.Engine.index st.Churn.Engine.label
+            (Churn.World.size st.Churn.Engine.world)
+            (fmt_value dp_lat) (fmt_value lat) (fmt_value fail)
+            st.Churn.Engine.moved_stages;
+          if stats then
+            Printf.printf "  reuse=%d/%d bound=%s nodes=%d ttr=%dns"
+              st.Churn.Engine.reuse.Interval_exact.Dp.cells_reused
+              st.Churn.Engine.reuse.Interval_exact.Dp.cells_total
+              (if st.Churn.Engine.warm_bound then "yes" else "no")
+              st.Churn.Engine.bb_stats.Bb.nodes st.Churn.Engine.ttr_ns;
+          print_newline ())
+        steps;
+      let count kind =
+        List.length
+          (List.filter
+             (fun (st : Churn.Engine.step) ->
+               match st.Churn.Engine.event with
+               | Some ev -> String.equal (Churn.Event.kind ev) kind
+               | None -> false)
+             steps)
+      in
+      let total_moved =
+        List.fold_left
+          (fun acc (st : Churn.Engine.step) -> acc + st.Churn.Engine.moved_stages)
+          0 steps
+      in
+      Printf.printf
+        "\nsummary: steps=%d deaths=%d joins=%d speed-drifts=%d \
+         bw-drifts=%d moved=%d\n"
+        (List.length steps) (count "death") (count "join") (count "speed")
+        (count "bandwidth") total_moved;
+      (match List.rev steps with
+      | last :: _ -> (
+          match last.Churn.Engine.solution with
+          | Some s -> Format.printf "final:   %a@." Mapping.pp s.Solution.mapping
+          | None -> print_string "final:   infeasible\n")
+      | [] -> ());
+      if not verify then `Ok ()
+      else if Churn.Engine.verify ~obs ~workers ~objective steps then begin
+        Printf.printf "verify:  warm == cold on %d steps\n" (List.length steps);
+        `Ok ()
+      end
+      else `Error (false, "churn verify failed: warm and cold solves disagree")
   in
   let doc = "Replay a seeded churn scenario with incremental re-solving." in
   let man =
@@ -2158,9 +2064,14 @@ let churn_cmd =
   Cmd.v (Cmd.info "churn" ~doc ~man)
     Term.(
       ret
-        (const run $ instance_arg $ objective_arg $ events_arg $ seed_arg
-       $ mission_arg $ cold_flag $ verify_flag $ churn_stats_flag
-       $ workers_arg $ exact_workers_arg $ virtual_clock_flag))
+        (const run $ instance_arg $ objective_arg $ events_arg
+        $ seed_arg
+            ~doc:
+              "Master seed for the scenario driver (one integer replays the \
+               whole trace)."
+            1
+        $ mission_arg $ cold_flag $ verify_flag $ churn_stats_flag
+        $ workers_arg $ virtual_clock_flag))
 
 let demo_cmd =
   let out_arg =
@@ -2169,14 +2080,18 @@ let demo_cmd =
   in
   let run path =
     let inst = Relpipe_workload.Scenarios.fig5 () in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc
-          ("# The paper's Fig. 5 instance: one slow reliable processor and\n"
-         ^ "# ten fast unreliable ones.  Try:\n"
-         ^ "#   relpipe solve -i " ^ path ^ " --max-latency 22\n"
-          ^ Textio.to_string inst));
-    Format.printf "wrote %s@." path;
-    `Ok ()
+    match
+      with_output path (fun oc ->
+          Out_channel.output_string oc
+            ("# The paper's Fig. 5 instance: one slow reliable processor and\n"
+           ^ "# ten fast unreliable ones.  Try:\n"
+           ^ "#   relpipe solve -i " ^ path ^ " --max-latency 22\n"
+            ^ Textio.to_string inst))
+    with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+        Format.printf "wrote %s@." path;
+        `Ok ()
   in
   let doc = "Write a sample instance file (the paper's Fig. 5)." in
   Cmd.v (Cmd.info "demo" ~doc) Term.(ret (const run $ out_arg))

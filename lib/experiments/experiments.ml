@@ -885,35 +885,36 @@ let e24_effort_sweep () =
 
 let all () =
   [
-    ("E1  Fig. 3/4 worked example (latency)", e1_fig34 ());
-    ("E2  Fig. 5 worked example (bi-criteria)", e2_fig5 ());
-    ("E3  Theorem 1: min FP is replicate-everything", e3_theorem1 ());
-    ("E4  Theorem 2: min latency on Comm. Homogeneous", e4_theorem2 ());
-    ("E5  Theorem 3: TSP reduction equivalence", e5_tsp_reduction ());
-    ("E6  Theorem 4: general mappings by shortest path", e6_general_mapping ());
-    ("E7  Algorithms 1/2 vs exhaustive optimum", e7_algorithms_1_2 ());
-    ("E8  Algorithms 3/4 vs exhaustive optimum", e8_algorithms_3_4 ());
-    ("E9  Theorem 7: 2-PARTITION reduction equivalence", e9_partition_reduction ());
-    ("E10 Open case: CH + Failure Heterogeneous heuristics", e10_open_case ());
-    ("E11 NP-hard case: Fully Heterogeneous heuristics", e11_np_hard_case ());
-    ("E12 Simulator vs analytic model", e12_simulator ());
-    ("E13 Latency/reliability Pareto fronts", e13_pareto ());
-    ("E14 Lemma 1: single-interval optimality", e14_lemma1 ());
-    ("E15 Tri-criteria: reliability under latency+period bounds", e15_tri_criteria ());
-    ("E16 Ablation: branch-and-bound vs flat enumeration", e16_bb_ablation ());
-    ("E17 Steady-state simulation vs analytic period", e17_steady_state ());
-    ("E18 Round-robin replication: throughput vs reliability", e18_round_robin ());
-    ("E19 Open problem 4.1: interval vs general mapping gap", e19_interval_vs_general ());
-    ("E20 Mission-length scaling (failure-rate view)", e20_mission_scaling ());
-    ("E21 Goodput under mid-stream failures", e21_goodput ());
-    ("E22 Speed-contiguity hypothesis on the open case", e22_contiguous ());
-    ("E23 One-port vs multiport communication-model ablation", e23_comm_model ());
-    ("E24 Heuristic effort sweep (annealing iterations)", e24_effort_sweep ());
+    ("E1  Fig. 3/4 worked example (latency)", e1_fig34);
+    ("E2  Fig. 5 worked example (bi-criteria)", e2_fig5);
+    ("E3  Theorem 1: min FP is replicate-everything", e3_theorem1);
+    ("E4  Theorem 2: min latency on Comm. Homogeneous", e4_theorem2);
+    ("E5  Theorem 3: TSP reduction equivalence", e5_tsp_reduction);
+    ("E6  Theorem 4: general mappings by shortest path", e6_general_mapping);
+    ("E7  Algorithms 1/2 vs exhaustive optimum", e7_algorithms_1_2);
+    ("E8  Algorithms 3/4 vs exhaustive optimum", e8_algorithms_3_4);
+    ("E9  Theorem 7: 2-PARTITION reduction equivalence", e9_partition_reduction);
+    ("E10 Open case: CH + Failure Heterogeneous heuristics", e10_open_case);
+    ("E11 NP-hard case: Fully Heterogeneous heuristics", e11_np_hard_case);
+    ("E12 Simulator vs analytic model", e12_simulator);
+    ("E13 Latency/reliability Pareto fronts", e13_pareto);
+    ("E14 Lemma 1: single-interval optimality", e14_lemma1);
+    ("E15 Tri-criteria: reliability under latency+period bounds", e15_tri_criteria);
+    ("E16 Ablation: branch-and-bound vs flat enumeration", e16_bb_ablation);
+    ("E17 Steady-state simulation vs analytic period", e17_steady_state);
+    ("E18 Round-robin replication: throughput vs reliability", e18_round_robin);
+    ("E19 Open problem 4.1: interval vs general mapping gap", e19_interval_vs_general);
+    ("E20 Mission-length scaling (failure-rate view)", e20_mission_scaling);
+    ("E21 Goodput under mid-stream failures", e21_goodput);
+    ("E22 Speed-contiguity hypothesis on the open case", e22_contiguous);
+    ("E23 One-port vs multiport communication-model ablation", e23_comm_model);
+    ("E24 Heuristic effort sweep (annealing iterations)", e24_effort_sweep);
   ]
 
 let print_all () =
   List.iter
-    (fun (title, table) ->
+    (fun (title, experiment) ->
+      let table = experiment () in
       print_endline title;
       print_endline (String.make (String.length title) '=');
       Table.print table;

@@ -1,10 +1,10 @@
-(** The per-experiment reproduction harness (DESIGN.md, E1-E14).
+(** The per-experiment reproduction harness (DESIGN.md, E1-E24).
 
     Each function regenerates one paper artefact — a worked example, a
     theorem's optimality claim, a reduction's equivalence, or one of the
     extended evaluations — and reports it as a table of paper-claim versus
-    measured value.  [all] runs every experiment (deterministically, fixed
-    seeds); [print_all] renders them to stdout.  EXPERIMENTS.md is the
+    measured value.  [all] lists every experiment (each deterministic, with
+    its own fixed seeds); [print_all] runs and renders them to stdout.  EXPERIMENTS.md is the
     curated record of one such run. *)
 
 val e1_fig34 : unit -> Relpipe_util.Table.t
@@ -97,7 +97,9 @@ val e24_effort_sweep : unit -> Relpipe_util.Table.t
 (** Quality-versus-effort ablation of the randomized heuristics: optimum
     recovery rate as the iteration budget grows. *)
 
-val all : unit -> (string * Relpipe_util.Table.t) list
-(** Every experiment, titled, in DESIGN.md order. *)
+val all : unit -> (string * (unit -> Relpipe_util.Table.t)) list
+(** Every experiment, titled, in DESIGN.md order.  Nothing runs until a
+    table is forced, so a caller pays only for the experiments it
+    prints. *)
 
 val print_all : unit -> unit

@@ -117,3 +117,35 @@ let seed_property ?(count = 100) name prop =
     (QCheck.Test.make ~name ~count QCheck.small_nat (fun seed -> prop seed))
 
 let test name f = Alcotest.test_case name `Quick f
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i =
+    i + nl <= hl && (String.equal (String.sub hay i nl) needle || go (i + 1))
+  in
+  nl = 0 || go 0
+
+(* ------------------------------------------------------------------ *)
+(* Driving the relpipe binary                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Tests run in _build/default/test; the CLI is built next door. *)
+let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
+
+(* Run the CLI with stdin at /dev/null; returns (exit code, stdout,
+   stderr). *)
+let run_cli args =
+  let out = Filename.temp_file "relpipe-test" ".out" in
+  let err = Filename.temp_file "relpipe-test" ".err" in
+  let cmd =
+    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote out) (Filename.quote err)
+  in
+  let code = Sys.command cmd in
+  let slurp path =
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
+  in
+  (code, slurp out, slurp err)

@@ -9,11 +9,6 @@ module Rng = Relpipe_util.Rng
 
 let test = Helpers.test
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let fixture name =
   In_channel.with_open_text (Filename.concat "fixtures" name)
     In_channel.input_all
@@ -189,7 +184,7 @@ let test_solver_guard () =
   | exception Invalid_argument msg ->
       Alcotest.(check bool)
         "legacy solve raises with the rule id" true
-        (contains ~needle:"RP-I002" msg)
+        (Helpers.contains ~needle:"RP-I002" msg)
   | _ -> Alcotest.fail "legacy solve should raise Invalid_argument"
 
 let test_solver_guard_objective () =
@@ -240,7 +235,7 @@ let test_validate_diagnostics () =
   Alcotest.(check bool)
     "warning rendered into messages" true
     (List.exists
-       (fun msg -> contains ~needle:"RP-M006" msg)
+       (fun msg -> Helpers.contains ~needle:"RP-M006" msg)
        report.Relpipe_core.Validate.messages)
 
 (* ------------------------------------------------------------------ *)
@@ -273,7 +268,7 @@ let test_json_report () =
       Alcotest.(check bool)
         (Printf.sprintf "json contains %s" needle)
         true
-        (contains ~needle json))
+        (Helpers.contains ~needle json))
     [
       {|"version":1|}; {|"file":"defect_I001.relpipe"|}; {|"rule":"RP-I001"|};
       {|"severity":"error"|}; {|"line":4|}; {|"summary"|};
@@ -285,7 +280,7 @@ let test_json_report () =
   in
   Alcotest.(check bool)
     "json escapes specials" true
-    (contains ~needle:{|quote \" backslash \\ newline \n done|} escaped)
+    (Helpers.contains ~needle:{|quote \" backslash \\ newline \n done|} escaped)
 
 (* ------------------------------------------------------------------ *)
 (* Properties: parse errors carry positions; clean inputs round-trip   *)

@@ -27,13 +27,6 @@ let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i =
-    i + ln <= lh && (String.equal (String.sub hay i ln) needle || go (i + 1))
-  in
-  go 0
-
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
 
@@ -318,7 +311,9 @@ let test_engine_hand_scenario () =
     (Engine.verify ~workers:2 ~objective steps);
   let metrics = Obs.metrics_jsonl obs in
   List.iter
-    (fun line -> check_bool ("metrics carry " ^ line) true (contains metrics line))
+    (fun line ->
+      check_bool ("metrics carry " ^ line) true
+        (Helpers.contains ~needle:line metrics))
     [
       "{\"name\":\"churn.steps\",\"type\":\"counter\",\"value\":4}";
       "{\"name\":\"churn.moved_stages\",\"type\":\"counter\",\"value\":4}";
@@ -412,24 +407,6 @@ let prop_noop_full_reuse seed =
 (* CLI: golden snapshot, byte-identical across worker counts           *)
 (* ------------------------------------------------------------------ *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
-
-let run_cli args =
-  let out = Filename.temp_file "relpipe-churn" ".out" in
-  let err = Filename.temp_file "relpipe-churn" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
-
 let churn_args workers =
   [
     "churn"; "-i"; "fixtures/churn_grid.relpipe"; "--max-failure"; "0.5";
@@ -438,22 +415,22 @@ let churn_args workers =
   ]
 
 let test_cli_snapshot () =
-  let c1, o1, e1 = run_cli (churn_args 1) in
+  let c1, o1, e1 = Helpers.run_cli (churn_args 1) in
   check_int "exits 0 (1 worker)" 0 c1;
   check_str "stderr empty" "" e1;
-  let c2, o2, _ = run_cli (churn_args 2) in
-  let c8, o8, _ = run_cli (churn_args 8) in
+  let c2, o2, _ = Helpers.run_cli (churn_args 2) in
+  let c8, o8, _ = Helpers.run_cli (churn_args 8) in
   check_int "exits 0 (2 workers)" 0 c2;
   check_int "exits 0 (8 workers)" 0 c8;
   check_str "1 worker == 2 workers" o1 o2;
   check_str "1 worker == 8 workers" o1 o8;
   check_bool "verify line present" true
-    (contains o1 "verify:  warm == cold on 13 steps");
+    (Helpers.contains ~needle:"verify:  warm == cold on 13 steps" o1);
   Snapshot.check "churn-grid.snap" o1
 
 let test_cli_missing_instance () =
   let code, _, err =
-    run_cli
+    Helpers.run_cli
       [ "churn"; "-i"; "fixtures/no-such-instance.relpipe"; "--max-failure";
         "0.5" ]
   in

@@ -616,12 +616,8 @@ let solver_describe () =
       (Platform.fully_homogeneous ~m:2 ~speed:1.0 ~failure:0.1 ~bandwidth:1.0)
   in
   let d = Solver.describe fh in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions algorithms" true (contains "Algorithms 1/2" d)
+  Alcotest.(check bool) "mentions algorithms" true
+    (Helpers.contains ~needle:"Algorithms 1/2" d)
 
 let () =
   Alcotest.run "core"

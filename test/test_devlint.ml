@@ -312,33 +312,15 @@ let test_obs_bad_literal_head () =
 (* CLI: byte-pinned --list-rules and JSON report                       *)
 (* ------------------------------------------------------------------ *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
-
-let run_cli args =
-  let out = Filename.temp_file "relpipe-test" ".out" in
-  let err = Filename.temp_file "relpipe-test" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
-
 let test_cli_list_rules_snapshot () =
-  let code, out, err = run_cli [ "devlint"; "--list-rules" ] in
+  let code, out, err = Helpers.run_cli [ "devlint"; "--list-rules" ] in
   Alcotest.(check int) "exits 0" 0 code;
   Alcotest.(check string) "stderr empty" "" err;
   Snapshot.check "devlint-list-rules.snap" out
 
 let test_cli_json_snapshot () =
   let code, out, _ =
-    run_cli
+    Helpers.run_cli
       [
         "devlint"; "--no-baseline"; "--format"; "json";
         "fixtures/devlint/bad_s101.ml";
@@ -349,7 +331,8 @@ let test_cli_json_snapshot () =
 
 let test_cli_clean_fixture_exits_zero () =
   let code, out, err =
-    run_cli [ "devlint"; "--no-baseline"; "fixtures/devlint/clean_s101.ml" ]
+    Helpers.run_cli
+      [ "devlint"; "--no-baseline"; "fixtures/devlint/clean_s101.ml" ]
   in
   Alcotest.(check int) "exits 0" 0 code;
   Alcotest.(check string) "stderr empty" "" err;

@@ -305,24 +305,6 @@ let test_engine_obs_snapshots () =
 (* CLI: prof golden snapshot and negative paths                        *)
 (* ------------------------------------------------------------------ *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
-
-let run_cli args =
-  let out = Filename.temp_file "relpipe-test" ".out" in
-  let err = Filename.temp_file "relpipe-test" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
-
 let test_prof_snapshot () =
   let args =
     [
@@ -330,13 +312,13 @@ let test_prof_snapshot () =
       "0.5"; "--virtual-clock";
     ]
   in
-  let code, out, err = run_cli args in
+  let code, out, err = Helpers.run_cli args in
   check_int "prof exits 0" 0 code;
   check_str "prof stderr empty" "" err;
   Snapshot.check "prof-clean-fully-hetero.snap" out;
   (* Byte-stable across reruns: the virtual clock leaves nothing to
      drift. *)
-  let code2, out2, _ = run_cli args in
+  let code2, out2, _ = Helpers.run_cli args in
   check_int "prof exits 0 again" 0 code2;
   check_str "prof output byte-stable" out out2
 
@@ -345,33 +327,28 @@ let check_fails name (code, _out, err) =
   Alcotest.(check bool) (name ^ " prints a diagnostic") true
     (String.length err > 0)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i =
-    i + nl <= hl && (String.equal (String.sub hay i nl) needle || go (i + 1))
-  in
-  nl = 0 || go 0
-
 let test_cli_bad_sink_paths () =
-  let r = run_cli [ "batch"; "--metrics"; "/nonexistent-dir/m.jsonl" ] in
+  let r =
+    Helpers.run_cli [ "batch"; "--metrics"; "/nonexistent-dir/m.jsonl" ]
+  in
   check_fails "bad --metrics" r;
   let _, _, err = r in
   check_bool "metrics diagnostic names the path" true
-    (contains ~needle:"/nonexistent-dir/m.jsonl" err);
-  let r = run_cli [ "batch"; "--trace"; "/nonexistent-dir/t.jsonl" ] in
+    (Helpers.contains ~needle:"/nonexistent-dir/m.jsonl" err);
+  let r = Helpers.run_cli [ "batch"; "--trace"; "/nonexistent-dir/t.jsonl" ] in
   check_fails "bad --trace" r;
   let _, _, err = r in
   check_bool "trace diagnostic names the path" true
-    (contains ~needle:"/nonexistent-dir/t.jsonl" err)
+    (Helpers.contains ~needle:"/nonexistent-dir/t.jsonl" err)
 
 let test_cli_unknown_subcommand () =
-  check_fails "unknown subcommand" (run_cli [ "frobnicate" ])
+  check_fails "unknown subcommand" (Helpers.run_cli [ "frobnicate" ])
 
 let test_cli_malformed_instance () =
   let path = Filename.temp_file "relpipe-test" ".relpipe" in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "this is not a relpipe instance\n");
-  let r = run_cli [ "prof"; "-i"; path; "--max-failure"; "0.5" ] in
+  let r = Helpers.run_cli [ "prof"; "-i"; path; "--max-failure"; "0.5" ] in
   Sys.remove path;
   check_fails "malformed instance" r
 

@@ -27,11 +27,6 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 (* The instance the fixtures and live tests solve: 2 stages, 3
    processors, fully connected via a default bandwidth. *)
 let inst_text =
@@ -274,7 +269,7 @@ let check_parse_error name text needle =
   | Error e ->
       check_bool
         (Printf.sprintf "%s: %S mentions %S" name e needle)
-        true (contains needle e)
+        true (Helpers.contains ~needle e)
 
 let test_script_errors () =
   check_parse_error "unknown verb" "bogus 1\n" "line 1";
@@ -581,24 +576,6 @@ let test_sigterm_drain_answers_every_admitted_request () =
 (* CLI: batch -o sink failures (regression)                            *)
 (* ------------------------------------------------------------------ *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
-
-let run_cli args =
-  let out = Filename.temp_file "relpipe-test" ".out" in
-  let err = Filename.temp_file "relpipe-test" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
-
 let with_request_file f =
   let path = Filename.temp_file "relpipe-serve-req" ".jsonl" in
   Out_channel.with_open_text path (fun oc ->
@@ -609,20 +586,23 @@ let with_request_file f =
 let test_batch_output_unwritable_path () =
   with_request_file (fun req ->
       let code, _, err =
-        run_cli [ "batch"; req; "-o"; "/nonexistent-dir/out.jsonl" ]
+        Helpers.run_cli [ "batch"; req; "-o"; "/nonexistent-dir/out.jsonl" ]
       in
       check_bool "exits non-zero" true (code <> 0);
       check_bool "names the path" true
-        (contains "/nonexistent-dir/out.jsonl" err))
+        (Helpers.contains ~needle:"/nonexistent-dir/out.jsonl" err))
 
 let test_batch_output_enospc () =
   (* /dev/full answers every write with ENOSPC — the classic truncated
      sink.  Skip quietly where the device does not exist. *)
   if Sys.file_exists "/dev/full" then
     with_request_file (fun req ->
-        let code, _, err = run_cli [ "batch"; req; "-o"; "/dev/full" ] in
+        let code, _, err =
+          Helpers.run_cli [ "batch"; req; "-o"; "/dev/full" ]
+        in
         check_bool "exits non-zero" true (code <> 0);
-        check_bool "names the path" true (contains "/dev/full" err))
+        check_bool "names the path" true
+          (Helpers.contains ~needle:"/dev/full" err))
 
 (* ------------------------------------------------------------------ *)
 

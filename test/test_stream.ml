@@ -317,24 +317,6 @@ let test_bloom_union_laws () =
 (* Atlas CLI: golden report, byte-identical across worker counts       *)
 (* ------------------------------------------------------------------ *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
-
-let run_cli args =
-  let out = Filename.temp_file "relpipe-atlas" ".out" in
-  let err = Filename.temp_file "relpipe-atlas" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
-
 let atlas_args workers =
   [
     "atlas"; "-n"; "600"; "--pool"; "16"; "--seed"; "5"; "--chunk"; "128";
@@ -342,14 +324,14 @@ let atlas_args workers =
   ]
 
 let test_atlas_snapshot_across_workers () =
-  let c1, o1, e1 = run_cli (atlas_args 1) in
+  let c1, o1, e1 = Helpers.run_cli (atlas_args 1) in
   check_int "exits 0 (1 worker)" 0 c1;
   check_str "stderr empty" "" e1;
   Helpers.Snapshot.check "atlas-report.snap" o1;
-  let c2, o2, _ = run_cli (atlas_args 2) in
+  let c2, o2, _ = Helpers.run_cli (atlas_args 2) in
   check_int "exits 0 (2 workers)" 0 c2;
   check_str "byte-identical at 2 workers" o1 o2;
-  let c8, o8, _ = run_cli (atlas_args 8) in
+  let c8, o8, _ = Helpers.run_cli (atlas_args 8) in
   check_int "exits 0 (8 workers)" 0 c8;
   check_str "byte-identical at 8 workers" o1 o8
 

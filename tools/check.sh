@@ -102,7 +102,7 @@ echo "== relpipe serve: daemon smoke (2 clients, stats, drain, replay) =="
 sock="$tmp/serve.sock"
 rec="$tmp/serve.session"
 "$relpipe" serve --unix "$sock" --record "$rec" --workers 2 \
-  --exact-workers --cache-shards 4 2>"$tmp/serve.err" &
+  --exact-workers --cache-shards 4 --session-window 32 2>"$tmp/serve.err" &
 serve_pid=$!
 i=0
 while [ ! -S "$sock" ]; do
@@ -178,7 +178,7 @@ echo "== relpipe fuzz: smoke campaign =="
 # 200 seeded cases across every oracle (including opt-vs-reference, which
 # pins the optimized kernels to their frozen twins); any failure (exit 1)
 # fails the gate and prints the minimized repro inline.
-"$relpipe" fuzz --count 200 --seed 42 --all-oracles
+"$relpipe" fuzz --count 200 --seed 42
 
 echo "== relpipe churn: incremental == cold smoke (20 events) =="
 # A seeded 20-event churn scenario re-solved incrementally must print the
@@ -215,24 +215,24 @@ for run in "bb fig5 -F 0.5" "dp fig5 -F 0.5" "dp federation -F 0.5" \
   leg=$1 f=$2 obj="$3 $4"
   out="$tmp/exact-$leg-$f$3"
   "$relpipe" exact -i "examples/instances/$f.relpipe" $obj --leg "$leg" \
-    --serial > "$out-serial.out"
+    > "$out-serial.out"
   for w in 2 8; do
     "$relpipe" exact -i "examples/instances/$f.relpipe" $obj --leg "$leg" \
       -w "$w" > "$out-w$w.out"
     if ! diff -q "$out-serial.out" "$out-w$w.out" >/dev/null; then
-      echo "check.sh: exact --leg $leg $obj on $f differs between --serial and -w $w" >&2
+      echo "check.sh: exact --leg $leg $obj on $f differs between serial and -w $w" >&2
       diff "$out-serial.out" "$out-w$w.out" >&2 || true
       exit 1
     fi
   done
 done
-"$relpipe" exact -i examples/instances/lab-cluster.relpipe -F 0.5 --serial \
+"$relpipe" exact -i examples/instances/lab-cluster.relpipe -F 0.5 \
   > "$tmp/exact-lab-serial.out"
 "$relpipe" exact -i examples/instances/lab-cluster.relpipe -F 0.5 -w 4 \
   > "$tmp/exact-lab-w4.out"
 if ! diff -q "$tmp/exact-lab-serial.out" "$tmp/exact-lab-w4.out" >/dev/null
 then
-  echo "check.sh: exact bb on lab-cluster differs between --serial and -w 4" >&2
+  echo "check.sh: exact bb on lab-cluster differs between serial and -w 4" >&2
   diff "$tmp/exact-lab-serial.out" "$tmp/exact-lab-w4.out" >&2 || true
   exit 1
 fi
