@@ -1,20 +1,21 @@
-(* Benchmark harness.
+(* Benchmark harness: the kernel-twin regression gate and the
+   observability cost guard.
 
-   Part 1 regenerates every table/figure-level claim of the paper via
-   Relpipe_experiments (E1-E14 of DESIGN.md) — the paper is a
-   complexity/algorithms paper, so its "tables" are worked examples,
-   optimality claims and reduction equivalences rather than testbed
-   timings.
+   `relpipe experiments` regenerates the paper's tables, and the gated
+   benchmark under perfbench/ times the service paths.  This harness keeps
+   the two checks nothing else makes:
 
-   Part 2 runs Bechamel micro-benchmarks of the computational kernels (one
-   Test.make per kernel) so the polynomial-vs-exponential landscape of
-   Section 4 is visible as wall-clock numbers. *)
+   - the twin gate times the three optimised kernels against their frozen
+     Core.Reference twins, optionally writes the BENCH v2 report
+     ([--json FILE]) and compares it with a baseline report
+     ([--against FILE]); [--virtual-clock] makes the report byte-stable;
+   - [--obs-guard] checks that an ambient no-op observability sink costs
+     the solver kernels at most 2%. *)
 
-open Bechamel
 open Relpipe_model
 open Relpipe_core
 module Rng = Relpipe_util.Rng
-module Pool = Relpipe_pool.Pool
+module J = Relpipe_service.Json
 
 let make_fully_hetero seed ~n ~m =
   let rng = Rng.create seed in
@@ -28,172 +29,22 @@ let make_fully_hetero seed ~n ~m =
   in
   Instance.make pipeline platform
 
-let make_comm_homog seed ~n ~m =
-  let rng = Rng.create seed in
-  let pipeline =
-    Relpipe_workload.App_gen.random rng
-      { Relpipe_workload.App_gen.n; work = (1.0, 20.0); data = (0.5, 10.0) }
-  in
-  let platform =
-    Relpipe_workload.Plat_gen.random_comm_homogeneous rng ~m ~speed:(1.0, 10.0)
-      ~failure:(0.2, 0.2) ~bandwidth:4.0
-  in
-  Instance.make pipeline platform
+(* A bad flag or file is a usage error (exit 2) that names it. *)
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
 
-let benchmarks () =
-  let inst_ch = make_comm_homog 1 ~n:8 ~m:8 in
-  let inst_fh = make_fully_hetero 2 ~n:8 ~m:8 in
-  let rng = Rng.create 3 in
-  let mapping_ch =
-    Mapping.make ~n:8 ~m:8
-      [
-        { Mapping.first = 1; last = 4; procs = [ 0; 1; 2 ] };
-        { Mapping.first = 5; last = 8; procs = [ 3; 4 ] };
-      ]
+(* "cannot write PATH: reason", the CLI's wording; Sys_error's message
+   already starts with the path. *)
+let io_error verb path msg =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix)
+        (String.length msg - String.length prefix)
+    else msg
   in
-  let small_exact = make_fully_hetero 4 ~n:3 ~m:4 in
-  let small_objective = Instance.Min_failure { max_latency = 1e6 } in
-  let tsp = Tsp_reduction.random (Rng.create 5) ~n:8 ~max_cost:9 in
-  let partition = Partition_reduction.random (Rng.create 6) ~m:10 ~max_value:12 in
-  let big_general = make_fully_hetero 7 ~n:32 ~m:24 in
-  let alive = Relpipe_sim.Failure_inject.all_alive inst_fh.Instance.platform in
-  let mapping_fh = mapping_ch (* same shape reused on the FH platform *) in
-  [
-    (* Model evaluation kernels (Eq. 1, Eq. 2, FP formula). *)
-    Test.make ~name:"latency-eq1 (n=8, 2 intervals)"
-      (Staged.stage (fun () ->
-           Latency.eq1 inst_ch.Instance.pipeline inst_ch.Instance.platform
-             mapping_ch));
-    Test.make ~name:"latency-eq2 (n=8, 2 intervals)"
-      (Staged.stage (fun () ->
-           Latency.eq2 inst_fh.Instance.pipeline inst_fh.Instance.platform
-             mapping_fh));
-    Test.make ~name:"failure-probability (n=8)"
-      (Staged.stage (fun () -> Failure.of_mapping inst_fh.Instance.platform mapping_fh));
-    (* Polynomial algorithms (Theorems 1-2, 4; Algorithms 1-4). *)
-    Test.make ~name:"thm1 min-failure (m=8)"
-      (Staged.stage (fun () -> Mono.min_failure inst_ch));
-    Test.make ~name:"alg1 fully-homog minFP|L (m=8)"
-      (Staged.stage
-         (let inst =
-            Instance.make inst_ch.Instance.pipeline
-              (Relpipe_workload.Plat_gen.fully_homogeneous ~m:8 ~speed:5.0
-                 ~failure:0.3 ~bandwidth:4.0)
-          in
-          fun () -> Fully_homog.min_failure_for_latency inst ~max_latency:100.0));
-    Test.make ~name:"alg3 comm-homog minFP|L (m=8)"
-      (Staged.stage (fun () ->
-           Comm_homog.min_failure_for_latency
-             (Instance.make inst_ch.Instance.pipeline
-                (Relpipe_workload.Plat_gen.random_comm_homogeneous
-                   (Rng.copy rng) ~m:8 ~speed:(1.0, 10.0) ~failure:(0.2, 0.2)
-                   ~bandwidth:4.0))
-             ~max_latency:100.0));
-    Test.make ~name:"thm4 shortest-path (n=32, m=24)"
-      (Staged.stage (fun () -> General_mapping.solve big_general));
-    Test.make ~name:"thm4 direct DP (n=32, m=24)"
-      (Staged.stage (fun () -> General_mapping.solve_dp big_general));
-    (* Exponential machinery on small instances. *)
-    Test.make ~name:"exact enumeration (n=3, m=4)"
-      (Staged.stage (fun () -> Exact.solve small_exact small_objective));
-    Test.make ~name:"one-to-one branch&bound (n=m=8, TSP-reduced)"
-      (Staged.stage
-         (let inst, _ = Tsp_reduction.to_instance tsp in
-          fun () -> One_to_one.exact inst));
-    Test.make ~name:"held-karp hamiltonian (n=8)"
-      (Staged.stage (fun () ->
-           Relpipe_graph.Hamiltonian.held_karp ~cost:tsp.Tsp_reduction.cost
-             ~s:tsp.Tsp_reduction.source ~t:tsp.Tsp_reduction.target));
-    Test.make ~name:"2-partition witness search (m=10)"
-      (Staged.stage (fun () -> Partition_reduction.witness partition));
-    (* Heuristics. *)
-    Test.make ~name:"heuristic single-greedy (n=8, m=8)"
-      (Staged.stage (fun () ->
-           Heuristics.single_greedy inst_fh
-             (Instance.Min_failure { max_latency = 1e6 })));
-    Test.make ~name:"heuristic split-replicate (n=8, m=8)"
-      (Staged.stage (fun () ->
-           Heuristics.split_replicate inst_fh
-             (Instance.Min_failure { max_latency = 1e6 })));
-    (* Simulator. *)
-    Test.make ~name:"simulated trial (n=8, 2 intervals)"
-      (Staged.stage (fun () ->
-           Relpipe_sim.Trial.run inst_fh mapping_fh ~alive
-             ~policy:Relpipe_sim.Trial.Pessimistic));
-    Test.make ~name:"steady-state 100 data sets (n=8)"
-      (Staged.stage (fun () ->
-           Relpipe_sim.Steady.run inst_fh mapping_fh ~datasets:100));
-    (* Extensions. *)
-    Test.make ~name:"period eval (n=8, 2 intervals)"
-      (Staged.stage (fun () ->
-           Period.of_mapping inst_fh.Instance.pipeline inst_fh.Instance.platform
-             mapping_fh));
-    Test.make ~name:"branch&bound minFP|L (n=4, m=5)"
-      (Staged.stage
-         (let inst = make_fully_hetero 8 ~n:4 ~m:5 in
-          fun () -> Bb.solve inst (Instance.Min_failure { max_latency = 1e6 })));
-    Test.make ~name:"bitmask-DP interval optimum (n=8, m=10)"
-      (Staged.stage
-         (let inst = make_fully_hetero 9 ~n:8 ~m:10 in
-          fun () -> Interval_exact.min_latency inst));
-    Test.make ~name:"tri-criteria greedy (n=8, m=8)"
-      (Staged.stage (fun () ->
-           Tri.greedy_min_failure inst_fh
-             { Tri.max_latency = 1e6; max_period = 1e6 }));
-  ]
-
-(* One record per kernel, for both the table and the machine-readable
-   [--json] report. *)
-type kernel_result = { k_name : string; k_ns : float option; k_r2 : float option }
-
-let run_benchmarks () =
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let table = Relpipe_util.Table.create [ "benchmark"; "ns/run"; "r^2" ] in
-  let records = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      (* one grouped test per call: the table holds a single binding, so
-         iteration order cannot matter *)
-      (* devlint: allow RP-S204 *)
-      Hashtbl.iter
-        (fun name ols_result ->
-          let ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some (x :: _) -> Some x
-            | _ -> None
-          in
-          let r2 = Analyze.OLS.r_square ols_result in
-          (* Strip the synthetic group prefix. *)
-          let name =
-            match String.index_opt name '/' with
-            | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-            | None -> name
-          in
-          records := { k_name = name; k_ns = ns; k_r2 = r2 } :: !records;
-          Relpipe_util.Table.add_row table
-            [
-              name;
-              (match ns with Some x -> Printf.sprintf "%.1f" x | None -> "-");
-              (match r2 with Some x -> Printf.sprintf "%.4f" x | None -> "-");
-            ])
-        analyzed)
-    (benchmarks ());
-  print_endline "Micro-benchmarks (Bechamel, monotonic clock)";
-  print_endline "============================================";
-  Relpipe_util.Table.print table;
-  List.rev !records
-
-(* ------------------------------------------------------------------ *)
-(* Twin harness: optimized kernels vs their frozen Reference twins.    *)
-(* ------------------------------------------------------------------ *)
+  usage_error (Printf.sprintf "cannot %s %s: %s" verb path reason)
 
 type twin_result = {
   tw_kernel : string;
@@ -288,9 +139,8 @@ let run_twins ~clock () =
   let results =
     List.map
       (fun (kernel, shape, opt, reference) ->
-        let ns_ref, ci_ref, reps_ref, _ = measure_kernel ~clock ~rng reference in
+        let ns_ref, ci_ref, _, _ = measure_kernel ~clock ~rng reference in
         let ns_opt, ci_opt, reps_opt, samples = measure_kernel ~clock ~rng opt in
-        ignore reps_ref;
         {
           tw_kernel = kernel;
           tw_shape = shape;
@@ -325,207 +175,39 @@ let run_twins ~clock () =
   print_newline ();
   results
 
-(* Churn replay: warm-started incremental re-solving vs cold
-   from-scratch re-solving of the same seeded scenario.  Both replays
-   include the identical initial solve; with 20 events the figure is
-   dominated by the per-event re-solves, which is where the carried DP
-   table and the surviving incumbent bound pay.  The per-event figures
-   are the time-to-repair claim of the churn engine: ci_warm_hi below
-   ci_cold_lo means the speedup is CI-separated, not noise. *)
-type churn_result = {
-  ch_shape : string;
-  ch_events : int;
-  ch_ns_warm : float;
-  ch_ci_warm : float * float;
-  ch_ns_cold : float;
-  ch_ci_cold : float * float;
-}
-
-let churn_specs () =
-  let module Churn = Relpipe_churn in
-  let mk shape inst ~seed ~events =
-    let world = Churn.World.of_instance inst in
-    let trace = Churn.Driver.trace ~cap:8 ~seed ~count:events world in
-    let objective = Instance.Min_latency { max_failure = 0.5 } in
-    (shape, events, world, trace, objective)
-  in
-  [
-    mk "n=6 m=6 fully-hetero" (make_fully_hetero 21 ~n:6 ~m:6) ~seed:11
-      ~events:20;
-    mk "n=8 m=5 comm-homog" (make_comm_homog 22 ~n:8 ~m:5) ~seed:12 ~events:20;
-  ]
-
-let churn_separated ch =
-  let _, warm_hi = ch.ch_ci_warm and cold_lo, _ = ch.ch_ci_cold in
-  warm_hi < cold_lo
-
-let run_churn ~clock () =
-  let module Churn = Relpipe_churn in
-  let rng = Rng.create 78 in
-  let results =
-    List.map
-      (fun (shape, events, world, trace, objective) ->
-        let warm () =
-          ignore (Sys.opaque_identity (Churn.Engine.run ~objective world trace))
-        in
-        let cold () =
-          ignore
-            (Sys.opaque_identity
-               (Churn.Engine.run ~cold:true ~objective world trace))
-        in
-        let ns_cold, ci_cold, _, _ = measure_kernel ~clock ~rng cold in
-        let ns_warm, ci_warm, _, _ = measure_kernel ~clock ~rng warm in
-        {
-          ch_shape = shape;
-          ch_events = events;
-          ch_ns_warm = ns_warm;
-          ch_ci_warm = ci_warm;
-          ch_ns_cold = ns_cold;
-          ch_ci_cold = ci_cold;
-        })
-      (churn_specs ())
-  in
-  let table =
-    Relpipe_util.Table.create
-      [ "scenario"; "events"; "warm ns"; "cold ns"; "speedup"; "CI-separated" ]
-  in
-  List.iter
-    (fun ch ->
-      Relpipe_util.Table.add_row table
-        [
-          ch.ch_shape;
-          string_of_int ch.ch_events;
-          Printf.sprintf "%.1f" ch.ch_ns_warm;
-          Printf.sprintf "%.1f" ch.ch_ns_cold;
-          Printf.sprintf "%.2fx" (ch.ch_ns_cold /. ch.ch_ns_warm);
-          (if churn_separated ch then "yes" else "no");
-        ])
-    results;
-  print_endline "Churn replay: warm-started vs cold re-solving (min-of-N, bootstrap CI)";
-  print_endline "======================================================================";
-  Relpipe_util.Table.print table;
-  print_newline ();
-  results
-
-(* Parallel exact kernels vs their serial forms, at roughly twice the
-   twin-bench shapes (bb twins run n=4 m=5; these run n=6 m=6 and
-   n=5 m=7).  On a single-core host core-count parallelism cannot help,
-   so the B&B figure isolates the algorithmic win of the probe+confirm
-   design: the best-first probe publishes inflated incumbents into the
-   shared bound cell early, and the confirming serial pass re-searches
-   under that bound, visiting far fewer nodes than the cold serial
-   solve.  Node counts are reported next to the wall clock so the claim
-   is explicit about its mechanism; CI-separated means the parallel
-   upper CI sits below the serial lower CI. *)
-type par_result = {
-  p_kernel : string;
-  p_shape : string;
-  p_workers : int;
-  p_ns_ser : float;
-  p_ci_ser : float * float;
-  p_ns_par : float;
-  p_ci_par : float * float;
-  p_nodes_ser : int;
-  p_nodes_par : int;
-}
-
-let par_separated p =
-  let _, par_hi = p.p_ci_par and ser_lo, _ = p.p_ci_ser in
-  par_hi < ser_lo
-
-let run_par ~clock () =
-  let rng = Rng.create 79 in
-  (* Same objective as the bb twin bench, at twice its shapes.  Under
-     min-failure the depth-first serial search finds its incumbent late,
-     while the probe's best-first frontier reaches a near-optimal
-     mapping within its first task budgets — the shared bound then cuts
-     the confirming pass to a few hundred nodes, a >10x node reduction
-     at every seed tried (not a cherry-picked pair). *)
-  let obj = Instance.Min_failure { max_latency = 1e6 } in
-  let specs =
-    [
-      ("bb", "n=6 m=6 fully-hetero minFP|L", make_fully_hetero 31 ~n:6 ~m:6, 2);
-      ("bb", "n=5 m=7 fully-hetero minFP|L", make_fully_hetero 32 ~n:5 ~m:7, 2);
-    ]
-  in
-  let results =
-    List.map
-      (fun (kernel, shape, inst, workers) ->
-        let ser () = ignore (Sys.opaque_identity (Bb.solve inst obj)) in
-        let par () =
-          ignore (Sys.opaque_identity (Bb.solve_par ~workers inst obj))
-        in
-        let ns_ser, ci_ser, _, _ = measure_kernel ~clock ~rng ser in
-        let ns_par, ci_par, _, _ = measure_kernel ~clock ~rng par in
-        let _, sstats = Bb.solve_with_stats inst obj in
-        (* Node counts come from the one-worker run: at [workers] > 1 the
-           probe and confirm counts depend on scheduling, and the
-           virtual-clock report must stay byte-identical. *)
-        let _, pstats = Bb.solve_par_with_stats ~workers:1 inst obj in
-        {
-          p_kernel = kernel;
-          p_shape = shape;
-          p_workers = workers;
-          p_ns_ser = ns_ser;
-          p_ci_ser = ci_ser;
-          p_ns_par = ns_par;
-          p_ci_par = ci_par;
-          p_nodes_ser = sstats.Bb.nodes;
-          p_nodes_par = pstats.Bb.probe_nodes + pstats.Bb.confirm.Bb.nodes;
-        })
-      specs
-  in
-  let table =
-    Relpipe_util.Table.create
-      [
-        "kernel"; "shape"; "ser ns/run"; "par ns/run"; "ser nodes";
-        "par nodes"; "speedup"; "CI-separated";
-      ]
-  in
-  List.iter
-    (fun p ->
-      Relpipe_util.Table.add_row table
-        [
-          p.p_kernel;
-          p.p_shape;
-          Printf.sprintf "%.1f" p.p_ns_ser;
-          Printf.sprintf "%.1f" p.p_ns_par;
-          string_of_int p.p_nodes_ser;
-          string_of_int p.p_nodes_par;
-          Printf.sprintf "%.2fx" (p.p_ns_ser /. p.p_ns_par);
-          (if par_separated p then "yes" else "no");
-        ])
-    results;
-  print_endline
-    "Parallel exact B&B (probe+confirm, w=2) vs serial (min-of-N, bootstrap CI)";
-  print_endline
-    "==========================================================================";
-  Relpipe_util.Table.print table;
-  print_newline ();
-  results
-
-(* Regression gate: compare this run's optimized timings against a
-   baseline BENCH_*.json; >10% slower on any twin kernel is a failure. *)
-let check_against ~baseline twins =
-  let module J = Relpipe_service.Json in
-  let fail_usage msg =
-    Printf.eprintf "against: %s\n" msg;
-    exit 2
-  in
+(* A baseline BENCH_*.json, read before anything is timed.  Timings
+   compare only on the same clock: a virtual tick divided by real
+   nanoseconds would pass or fail every kernel by chance. *)
+let load_baseline ~virtual_clock path =
+  let refuse msg = usage_error (Printf.sprintf "against: %s %s" path msg) in
   let text =
-    try In_channel.with_open_text baseline In_channel.input_all
-    with Sys_error msg -> fail_usage msg
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg -> io_error "read" path msg
   in
   let json =
     match J.parse text with
     | Ok j -> j
-    | Error msg -> fail_usage (Printf.sprintf "%s does not parse: %s" baseline msg)
+    | Error msg -> refuse ("does not parse: " ^ msg)
   in
-  let baseline_twins =
+  let twins =
     match Option.bind (J.member "twins" json) J.to_list with
     | Some l -> l
-    | None -> fail_usage (Printf.sprintf "%s has no \"twins\" array" baseline)
+    | None -> refuse "has no \"twins\" array"
   in
+  match Option.bind (J.member "virtual_clock" json) J.to_bool with
+  | None -> refuse "has no \"virtual_clock\" field"
+  | Some b when b <> virtual_clock ->
+      refuse
+        (Printf.sprintf
+           "has \"virtual_clock\":%b but this run has %b; timings on \
+            different clocks do not compare"
+           b virtual_clock)
+  | Some _ -> (path, twins)
+
+(* Regression gate: >10% slower than the baseline on any twin kernel is
+   a failure (exit 1); a baseline that shares no kernel with this run
+   compared nothing and is refused (exit 2). *)
+let check_against (path, baseline_twins) twins =
   let find kernel =
     List.find_opt
       (fun j ->
@@ -534,7 +216,7 @@ let check_against ~baseline twins =
         | None -> false)
       baseline_twins
   in
-  let regressions = ref [] in
+  let compared = ref 0 and regressions = ref [] in
   List.iter
     (fun tw ->
       match find tw.tw_kernel with
@@ -543,15 +225,21 @@ let check_against ~baseline twins =
       | Some j -> (
           match Option.bind (J.member "ns_opt" j) J.to_float with
           | None ->
-              fail_usage
-                (Printf.sprintf "baseline entry for %s has no ns_opt" tw.tw_kernel)
+              usage_error
+                (Printf.sprintf "against: %s: the entry for %s has no ns_opt"
+                   path tw.tw_kernel)
           | Some base ->
+              incr compared;
               let ratio = tw.tw_ns_opt /. base in
               Printf.printf "against: %-12s %10.1f ns vs baseline %10.1f ns (%.2fx)\n"
                 tw.tw_kernel tw.tw_ns_opt base ratio;
               if tw.tw_ns_opt > 1.10 *. base then
                 regressions := (tw.tw_kernel, ratio) :: !regressions))
     twins;
+  if !compared = 0 then
+    usage_error
+      (Printf.sprintf "against: %s shares no kernel with this run; nothing was compared"
+         path);
   match List.rev !regressions with
   | [] -> Printf.printf "against: OK — no kernel regressed by more than 10%%\n"
   | rs ->
@@ -562,277 +250,7 @@ let check_against ~baseline twins =
         rs;
       exit 1
 
-(* Batch-engine throughput: the same 200-request fully-heterogeneous sweep
-   through a fresh engine at 1 worker and at [par] workers (oversubscribed
-   past the CPU count so the pool is exercised even on small machines;
-   wall-clock speedup needs real cores). *)
-type throughput = {
-  t_requests : int;
-  t_workers_par : int;
-  t_sec_seq : float;
-  t_sec_par : float;
-}
-
-let batch_throughput ?(n_requests = 200) () =
-  let module Engine = Relpipe_service.Engine in
-  let module Protocol = Relpipe_service.Protocol in
-  let requests =
-    Array.init n_requests (fun k ->
-        let inst = make_fully_hetero (1000 + k) ~n:8 ~m:5 in
-        Protocol.request
-          ~id:(Printf.sprintf "bench-%03d" k)
-          ~instance:(Protocol.Inline (Textio.to_string inst))
-          (Instance.Min_failure { max_latency = 50.0 }))
-  in
-  let time_run workers =
-    let engine = Engine.create ~workers ~cap_to_cpus:false () in
-    let t0 = Unix.gettimeofday () in
-    let responses = Engine.run_requests engine requests in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (elapsed, responses)
-  in
-  let par = max 4 (Pool.cpu_count ()) in
-  let sec_seq, r_seq = time_run 1 in
-  let sec_par, r_par = time_run par in
-  let identical =
-    Array.for_all2
-      (fun a b ->
-        String.equal (Protocol.encode_response a) (Protocol.encode_response b))
-      r_seq r_par
-  in
-  let cpus = Pool.cpu_count () in
-  Printf.printf "Batch-engine throughput (%d-request sweep, n=8 m=5)\n"
-    n_requests;
-  print_endline "====================================================";
-  Printf.printf "  1 worker : %6.2f s  (%7.1f req/s)\n" sec_seq
-    (float_of_int n_requests /. sec_seq);
-  Printf.printf "  %d workers: %6.2f s  (%7.1f req/s)  speedup %.2fx on %d cpus%s\n"
-    par sec_par
-    (float_of_int n_requests /. sec_par)
-    (sec_seq /. sec_par) cpus
-    (if par > cpus then " [oversubscribed]" else "");
-  Printf.printf "  responses byte-identical across worker counts: %b\n\n"
-    identical;
-  if not identical then failwith "batch engine nondeterminism detected";
-  {
-    t_requests = n_requests;
-    t_workers_par = par;
-    t_sec_seq = sec_seq;
-    t_sec_par = sec_par;
-  }
-
-(* Serve-daemon throughput: the same style of sweep pushed through a live
-   [relpipe serve] daemon on a Unix socket by one pipelined client — so
-   the figure includes framing, admission batching and the per-session
-   window, not just the engine.  Run at 1 worker and at [par] workers;
-   the reply stream must be byte-identical across the two (200 distinct
-   instances, single session: admission order is send order). *)
-type serve_point = { s_workers : int; s_sec : float; s_requests : int }
-
-let serve_throughput () =
-  let module Protocol = Relpipe_service.Protocol in
-  let module Engine = Relpipe_service.Engine in
-  let module Server = Relpipe_serve.Server in
-  let module Client = Relpipe_serve.Client in
-  let n_requests = 200 in
-  let requests =
-    Array.init n_requests (fun k ->
-        let inst = make_fully_hetero (2000 + k) ~n:8 ~m:5 in
-        Protocol.encode_request
-          (Protocol.request
-             ~id:(Printf.sprintf "serve-%03d" k)
-             ~instance:(Protocol.Inline (Textio.to_string inst))
-             (Instance.Min_failure { max_latency = 50.0 })))
-  in
-  let run_at workers =
-    let dir = Filename.temp_file "relpipe-bench-serve" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let sock = Filename.concat dir "bench.sock" in
-    let engine = Engine.create ~workers ~cap_to_cpus:false ~cache_shards:4 () in
-    let config =
-      { Server.default_config with Server.endpoints = [ Server.Unix_sock sock ] }
-    in
-    let ready = Atomic.make false in
-    let srv =
-      Thread.create
-        (fun () ->
-          ignore
-            (Server.run ~engine ~config
-               ~on_ready:(fun _ -> Atomic.set ready true)
-               ()))
-        ()
-    in
-    while not (Atomic.get ready) do
-      Thread.yield ()
-    done;
-    let c = Client.connect (`Unix sock) in
-    ignore (Client.call c (Protocol.encode_control (Protocol.hello ())));
-    let t0 = Unix.gettimeofday () in
-    let sender =
-      Thread.create
-        (fun () ->
-          Array.iter (Client.send c) requests;
-          Client.finish_sending c)
-        ()
-    in
-    let replies = ref [] in
-    let rec pump () =
-      match Client.recv c with
-      | None -> ()
-      | Some line ->
-          replies := line :: !replies;
-          pump ()
-    in
-    pump ();
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Thread.join sender;
-    Client.close c;
-    Server.signal_drain ();
-    Thread.join srv;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-    (elapsed, List.rev !replies)
-  in
-  let par = max 4 (Pool.cpu_count ()) in
-  let sec_seq, r_seq = run_at 1 in
-  let sec_par, r_par = run_at par in
-  if List.length r_seq <> n_requests then
-    failwith "serve throughput: missing replies";
-  if not (List.equal String.equal r_seq r_par) then
-    failwith "serve daemon nondeterminism detected";
-  print_endline "Serve-daemon throughput (200-request stream, Unix socket)";
-  print_endline "=========================================================";
-  Printf.printf "  1 worker : %6.2f s  (%7.1f req/s)\n" sec_seq
-    (float_of_int n_requests /. sec_seq);
-  Printf.printf
-    "  %d workers: %6.2f s  (%7.1f req/s)  speedup %.2fx on %d cpus\n" par
-    sec_par
-    (float_of_int n_requests /. sec_par)
-    (sec_seq /. sec_par)
-    (Pool.cpu_count ());
-  Printf.printf "  replies byte-identical across worker counts: true\n\n";
-  [
-    { s_workers = 1; s_sec = sec_seq; s_requests = n_requests };
-    { s_workers = par; s_sec = sec_par; s_requests = n_requests };
-  ]
-
-(* End-to-end atlas: the streaming load harness as a benchmark.  One
-   seeded 20k-request stream per Zipf skew (hit rate and latency
-   percentiles are deterministic; the wall clock is the benchmark), plus
-   the same stream at 1 and [par] workers with the reports compared
-   byte-for-byte. *)
-type atlas_skew_point = {
-  az_zipf : float;
-  az_hit_rate : float;
-  az_p50 : float;
-  az_p95 : float;
-  az_p99 : float;
-  az_sec : float;
-}
-
-type atlas_workers_point = { aw_workers : int; aw_sec : float }
-
-type atlas_bench = {
-  ab_requests : int;
-  ab_pool : int;
-  ab_skew : atlas_skew_point list;
-  ab_workers : atlas_workers_point list;
-  ab_identical : bool;
-}
-
-let atlas_bench ?(n_requests = 20_000) () =
-  let module Atlas = Relpipe_service.Atlas in
-  let module Engine = Relpipe_service.Engine in
-  let module Protocol = Relpipe_service.Protocol in
-  let module Stream_gen = Relpipe_workload.Stream_gen in
-  let seed = 42 in
-  let source_of spec =
-    let entries = Stream_gen.pool_entries ~seed spec in
-    let slots =
-      Array.map
-        (fun (e : Stream_gen.entry) ->
-          match Protocol.method_of_string e.Stream_gen.method_name with
-          | Ok m ->
-              {
-                Atlas.sl_text = e.Stream_gen.text;
-                sl_objective = e.Stream_gen.objective;
-                sl_method = m;
-                sl_class = e.Stream_gen.plat_class;
-              }
-          | Error msg -> failwith msg)
-        entries
-    in
-    {
-      Atlas.slots;
-      events =
-        (fun f ->
-          Stream_gen.iter ~seed spec ~n:n_requests (fun ev ->
-              f
-                {
-                  Atlas.ev_index = ev.Stream_gen.ev_index;
-                  ev_slot = ev.Stream_gen.ev_slot;
-                  ev_gap_ns = ev.Stream_gen.ev_gap_ns;
-                }))
-    }
-  in
-  let run ~workers spec =
-    let engine = Engine.create ~workers ~cap_to_cpus:false () in
-    let t0 = Unix.gettimeofday () in
-    let report = Atlas.run ~solve:(Engine.run_requests engine) (source_of spec) in
-    (Unix.gettimeofday () -. t0, report)
-  in
-  Printf.printf "Atlas end-to-end (%d-request stream, online aggregation)\n"
-    n_requests;
-  print_endline "========================================================";
-  let skew =
-    List.map
-      (fun z ->
-        let spec = { Stream_gen.default_spec with Stream_gen.zipf_s = z } in
-        let sec, r = run ~workers:1 spec in
-        let q phi = Relpipe_obs.Stream.Quantile.quantile r.Atlas.latency phi in
-        Printf.printf
-          "  zipf %.1f: hit rate %.4f, p50 %.4g, p95 %.4g, p99 %.4g  (%5.2f \
-           s, %7.1f req/s)\n"
-          z (Atlas.hit_rate r) (q 0.5) (q 0.95) (q 0.99) sec
-          (float_of_int n_requests /. sec);
-        {
-          az_zipf = z;
-          az_hit_rate = Atlas.hit_rate r;
-          az_p50 = q 0.5;
-          az_p95 = q 0.95;
-          az_p99 = q 0.99;
-          az_sec = sec;
-        })
-      [ 0.0; 0.5; 1.1; 1.5 ]
-  in
-  let par = max 4 (Pool.cpu_count ()) in
-  let cpus = Pool.cpu_count () in
-  let sec1, r1 = run ~workers:1 Stream_gen.default_spec in
-  let secp, rp = run ~workers:par Stream_gen.default_spec in
-  let identical = String.equal (Atlas.render r1) (Atlas.render rp) in
-  Printf.printf "  1 worker : %5.2f s  (%7.1f req/s)\n" sec1
-    (float_of_int n_requests /. sec1);
-  Printf.printf "  %d workers: %5.2f s  (%7.1f req/s)  on %d cpus%s\n" par secp
-    (float_of_int n_requests /. secp)
-    cpus
-    (if par > cpus then " [oversubscribed]" else "");
-  Printf.printf "  reports byte-identical across worker counts: %b\n\n"
-    identical;
-  if not identical then failwith "atlas report nondeterminism detected";
-  {
-    ab_requests = n_requests;
-    ab_pool = Relpipe_workload.Stream_gen.default_spec.Relpipe_workload.Stream_gen.pool;
-    ab_skew = skew;
-    ab_workers =
-      [
-        { aw_workers = 1; aw_sec = sec1 }; { aw_workers = par; aw_sec = secp };
-      ];
-    ab_identical = identical;
-  }
-
-let write_json path ~virtual_clock ~twins ?(serve = []) ?(churn = [])
-    ?(par = []) ?atlas kernels throughput =
-  let module J = Relpipe_service.Json in
+let write_json (path, oc) ~virtual_clock twins =
   let date =
     (* The virtual-clock report must be byte-stable across runs, so it
        pins the date to the epoch. *)
@@ -842,15 +260,6 @@ let write_json path ~virtual_clock ~twins ?(serve = []) ?(churn = [])
       Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
         (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
         tm.Unix.tm_sec
-  in
-  let opt_float = function Some x -> J.float x | None -> J.Null in
-  let kernel_json k =
-    J.Obj
-      [
-        ("name", J.Str k.k_name);
-        ("ns_per_run", opt_float k.k_ns);
-        ("r_square", opt_float k.k_r2);
-      ]
   in
   let twin_json tw =
     let opt_lo, opt_hi = tw.tw_ci_opt and ref_lo, ref_hi = tw.tw_ci_ref in
@@ -870,184 +279,22 @@ let write_json path ~virtual_clock ~twins ?(serve = []) ?(churn = [])
         ("speedup_lo", J.float (speedup_lo tw));
       ]
   in
-  (* Every wall-clock throughput row names the host CPU count and flags
-     oversubscription, so a 0.14x "speedup" measured with 4 workers on a
-     1-cpu host cannot be misread as a regression. *)
-  let cpus = Pool.cpu_count () in
-  let host_fields workers =
-    [ ("cpus", J.Int cpus); ("oversubscribed", J.Bool (workers > cpus)) ]
-  in
-  let throughput_json =
-    match throughput with
-    | None -> J.Null
-    | Some tp ->
-        J.Obj
-          ([
-             ("requests", J.Int tp.t_requests);
-             ("workers", J.Int tp.t_workers_par);
-             ("sec_1_worker", J.float tp.t_sec_seq);
-             ("sec_n_workers", J.float tp.t_sec_par);
-             ("req_per_sec_1_worker", J.float (float_of_int tp.t_requests /. tp.t_sec_seq));
-             ("req_per_sec_n_workers", J.float (float_of_int tp.t_requests /. tp.t_sec_par));
-             ("speedup", J.float (tp.t_sec_seq /. tp.t_sec_par));
-           ]
-          @ host_fields tp.t_workers_par)
-  in
-  let serve_json =
-    match serve with
-    | [] -> J.Null
-    | points ->
-        J.List
-          (List.map
-             (fun p ->
-               J.Obj
-                 ([
-                    ("workers", J.Int p.s_workers);
-                    ("requests", J.Int p.s_requests);
-                    ("sec", J.float p.s_sec);
-                    ( "req_per_sec",
-                      J.float (float_of_int p.s_requests /. p.s_sec) );
-                  ]
-                 @ host_fields p.s_workers))
-             points)
-  in
-  let atlas_json =
-    match atlas with
-    | None -> J.Null
-    | Some ab ->
-        J.Obj
-          [
-            ("requests", J.Int ab.ab_requests);
-            ("pool", J.Int ab.ab_pool);
-            ( "skew",
-              J.List
-                (List.map
-                   (fun p ->
-                     J.Obj
-                       [
-                         ("zipf", J.float p.az_zipf);
-                         ("hit_rate", J.float p.az_hit_rate);
-                         ("latency_p50", J.float p.az_p50);
-                         ("latency_p95", J.float p.az_p95);
-                         ("latency_p99", J.float p.az_p99);
-                         ("sec", J.float p.az_sec);
-                         ( "req_per_sec",
-                           J.float (float_of_int ab.ab_requests /. p.az_sec) );
-                       ])
-                   ab.ab_skew) );
-            ( "workers",
-              J.List
-                (List.map
-                   (fun w ->
-                     J.Obj
-                       ([
-                          ("workers", J.Int w.aw_workers);
-                          ("sec", J.float w.aw_sec);
-                          ( "req_per_sec",
-                            J.float (float_of_int ab.ab_requests /. w.aw_sec)
-                          );
-                        ]
-                       @ host_fields w.aw_workers))
-                   ab.ab_workers) );
-            ("report_identical", J.Bool ab.ab_identical);
-          ]
-  in
-  let churn_json ch =
-    let warm_lo, warm_hi = ch.ch_ci_warm and cold_lo, cold_hi = ch.ch_ci_cold in
-    let per_event ns = ns /. float_of_int ch.ch_events in
-    J.Obj
-      [
-        ("shape", J.Str ch.ch_shape);
-        ("events", J.Int ch.ch_events);
-        ("ns_warm", J.float ch.ch_ns_warm);
-        ("ci_warm_lo", J.float warm_lo);
-        ("ci_warm_hi", J.float warm_hi);
-        ("ns_cold", J.float ch.ch_ns_cold);
-        ("ci_cold_lo", J.float cold_lo);
-        ("ci_cold_hi", J.float cold_hi);
-        ("ttr_warm_ns_per_event", J.float (per_event ch.ch_ns_warm));
-        ("ttr_cold_ns_per_event", J.float (per_event ch.ch_ns_cold));
-        ("speedup", J.float (ch.ch_ns_cold /. ch.ch_ns_warm));
-        ("ci_separated", J.Bool (churn_separated ch));
-      ]
-  in
-  let par_json p =
-    let ser_lo, ser_hi = p.p_ci_ser and par_lo, par_hi = p.p_ci_par in
-    J.Obj
-      [
-        ("kernel", J.Str p.p_kernel);
-        ("shape", J.Str p.p_shape);
-        ("workers", J.Int p.p_workers);
-        ("ns_serial", J.float p.p_ns_ser);
-        ("ci_serial_lo", J.float ser_lo);
-        ("ci_serial_hi", J.float ser_hi);
-        ("ns_parallel", J.float p.p_ns_par);
-        ("ci_parallel_lo", J.float par_lo);
-        ("ci_parallel_hi", J.float par_hi);
-        ("nodes_serial", J.Int p.p_nodes_ser);
-        ("nodes_parallel", J.Int p.p_nodes_par);
-        ("speedup", J.float (p.p_ns_ser /. p.p_ns_par));
-        ("ci_separated", J.Bool (par_separated p));
-      ]
-  in
   let json =
     J.Obj
       [
         ("version", J.Int 2);
         ("date", J.Str date);
-        ("cpus", J.Int (Pool.cpu_count ()));
+        ("cpus", J.Int (Relpipe_pool.Pool.cpu_count ()));
         ("virtual_clock", J.Bool virtual_clock);
         ("twins", J.List (List.map twin_json twins));
-        ("par_exact", J.List (List.map par_json par));
-        ("churn", J.List (List.map churn_json churn));
-        ("benchmarks", J.List (List.map kernel_json kernels));
-        ("batch_throughput", throughput_json);
-        ("serve_throughput", serve_json);
-        ("atlas", atlas_json);
       ]
   in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (J.to_string json);
-      Out_channel.output_char oc '\n');
+  (try
+     Out_channel.output_string oc (J.to_string json);
+     Out_channel.output_char oc '\n';
+     Out_channel.close oc
+   with Sys_error msg -> io_error "write" path msg);
   Printf.printf "wrote %s\n" path
-
-(* Theorem 4 runtime scaling — the performance "figure" of the polynomial
-   result: graph shortest path vs the direct DP across instance sizes. *)
-let scaling_table () =
-  let time_one f =
-    (* Repeat until >= 50 ms of CPU time for a stable per-call figure. *)
-    let rec calibrate reps =
-      let t0 = Sys.time () in
-      for _ = 1 to reps do
-        ignore (Sys.opaque_identity (f ()))
-      done;
-      let elapsed = Sys.time () -. t0 in
-      if elapsed >= 0.05 then elapsed /. float_of_int reps
-      else calibrate (reps * 4)
-    in
-    calibrate 1
-  in
-  let table =
-    Relpipe_util.Table.create
-      [ "n x m (Thm 4)"; "graph vertices"; "Dijkstra us"; "direct DP us" ]
-  in
-  List.iter
-    (fun (n, m) ->
-      let inst = make_fully_hetero 11 ~n ~m in
-      let t_dij = time_one (fun () -> General_mapping.solve inst) in
-      let t_dp = time_one (fun () -> General_mapping.solve_dp inst) in
-      Relpipe_util.Table.add_row table
-        [
-          Printf.sprintf "%dx%d" n m;
-          string_of_int ((n * m) + 2);
-          Printf.sprintf "%.1f" (1e6 *. t_dij);
-          Printf.sprintf "%.1f" (1e6 *. t_dp);
-        ])
-    [ (4, 4); (8, 8); (16, 12); (32, 16); (64, 24); (128, 32) ];
-  print_endline "Theorem 4 runtime scaling (polynomial general mappings)";
-  print_endline "=======================================================";
-  Relpipe_util.Table.print table;
-  print_newline ()
 
 (* Observability cost guard: solver kernels with no ambient context vs an
    ambient no-op sink.  The disabled path is a domain-local read plus
@@ -1147,94 +394,51 @@ let obs_guard ~threshold =
     (100.0 *. !worst) (100.0 *. threshold)
 
 let () =
-  (* Flags: [--json FILE] writes a machine-readable report; [--kernels-only]
-     skips the slow experiment tables (useful when only the JSON matters);
-     [--obs-guard] runs only the observability cost guard; [--virtual-clock]
-     times the twin kernels on a deterministic clock (byte-stable report,
-     Bechamel and throughput skipped); [--against FILE] exits non-zero when
-     an optimized kernel is >10% slower than the baseline report. *)
-  let json_path = ref None and kernels_only = ref false in
-  let obs_guard_only = ref false in
-  let virtual_clock = ref false and against = ref None in
-  let throughput_only = ref false and throughput_requests = ref 200 in
+  let json_path = ref None and against = ref None in
+  let virtual_clock = ref false and obs_guard_only = ref false in
   let rec parse = function
     | [] -> ()
-    | "--json" :: path :: rest ->
-        json_path := Some path;
-        parse rest
-    | "--kernels-only" :: rest ->
-        kernels_only := true;
+    | ("--json" | "--against") as flag :: rest -> (
+        match rest with
+        | path :: rest when not (String.starts_with ~prefix:"--" path) ->
+            (if String.equal flag "--json" then json_path else against) := Some path;
+            parse rest
+        | _ -> usage_error (Printf.sprintf "option %s needs a FILE argument" flag))
+    | "--virtual-clock" :: rest ->
+        virtual_clock := true;
         parse rest
     | "--obs-guard" :: rest ->
         obs_guard_only := true;
         parse rest
-    | "--virtual-clock" :: rest ->
-        virtual_clock := true;
-        parse rest
-    | "--against" :: path :: rest ->
-        against := Some path;
-        parse rest
-    | "--throughput-only" :: rest ->
-        throughput_only := true;
-        parse rest
-    | "--throughput-requests" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v > 0 -> throughput_requests := v
-        | _ ->
-            Printf.eprintf "--throughput-requests needs a positive integer\n";
-            exit 2);
-        parse rest
     | arg :: _ ->
-        Printf.eprintf
-          "usage: %s [--json FILE] [--kernels-only] [--obs-guard] \
-           [--virtual-clock] [--against FILE] [--throughput-only] \
-           [--throughput-requests N]\n\
-          \  unknown argument %S\n"
-          Sys.argv.(0) arg;
-        exit 2
+        usage_error
+          (Printf.sprintf
+             "usage: %s [--json FILE] [--against FILE] [--virtual-clock] \
+              [--obs-guard]\n\
+             \  unknown argument %S"
+             Sys.argv.(0) arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   if !obs_guard_only then begin
     obs_guard ~threshold:0.02;
     exit 0
   end;
-  if !throughput_only then begin
-    (* The wall-clock throughput section alone, sized by
-       [--throughput-requests] — the cheap real-clock path the
-       cpus/oversubscribed regression test drives. *)
-    let throughput = batch_throughput ~n_requests:!throughput_requests () in
-    (match !json_path with
-    | None -> ()
-    | Some path ->
-        write_json path ~virtual_clock:false ~twins:[] [] (Some throughput));
-    exit 0
-  end;
-  print_endline "relpipe benchmark harness";
-  print_endline "Paper: Benoit, Rehn-Sonigo, Robert — Optimizing Latency and";
-  print_endline "Reliability of Pipeline Workflow Applications (RR-6345, 2008)";
-  print_newline ();
-  if not !kernels_only then begin
-    Relpipe_experiments.Experiments.print_all ();
-    scaling_table ()
-  end;
+  (* Both files are checked before anything is timed.  The baseline is
+     read before the report is opened, so one file can serve as both. *)
+  let baseline =
+    Option.map (load_baseline ~virtual_clock:!virtual_clock) !against
+  in
+  let sink =
+    Option.map
+      (fun path ->
+        try (path, Out_channel.open_text path)
+        with Sys_error msg -> io_error "write" path msg)
+      !json_path
+  in
   let clock =
     if !virtual_clock then Relpipe_obs.Clock.virtual_ ()
     else Relpipe_obs.Clock.monotonic ()
   in
   let twins = run_twins ~clock () in
-  let par = run_par ~clock () in
-  let churn = run_churn ~clock () in
-  (* Bechamel and the batch throughput read real time internally, so they
-     only run on the real clock. *)
-  let kernels = if !virtual_clock then [] else run_benchmarks () in
-  let throughput = if !virtual_clock then None else Some (batch_throughput ()) in
-  let serve = if !virtual_clock then [] else serve_throughput () in
-  let atlas = if !virtual_clock then None else Some (atlas_bench ()) in
-  (match !json_path with
-  | None -> ()
-  | Some path ->
-      write_json path ~virtual_clock:!virtual_clock ~twins ~serve ~churn ~par
-        ?atlas kernels throughput);
-  match !against with
-  | None -> ()
-  | Some baseline -> check_against ~baseline twins
+  Option.iter (fun sink -> write_json sink ~virtual_clock:!virtual_clock twins) sink;
+  Option.iter (fun baseline -> check_against baseline twins) baseline

@@ -910,13 +910,3 @@ let all () =
     ("E23 One-port vs multiport communication-model ablation", e23_comm_model);
     ("E24 Heuristic effort sweep (annealing iterations)", e24_effort_sweep);
   ]
-
-let print_all () =
-  List.iter
-    (fun (title, experiment) ->
-      let table = experiment () in
-      print_endline title;
-      print_endline (String.make (String.length title) '=');
-      Table.print table;
-      print_newline ())
-    (all ())

@@ -4,8 +4,8 @@
     theorem's optimality claim, a reduction's equivalence, or one of the
     extended evaluations — and reports it as a table of paper-claim versus
     measured value.  [all] lists every experiment (each deterministic, with
-    its own fixed seeds); [print_all] runs and renders them to stdout.  EXPERIMENTS.md is the
-    curated record of one such run. *)
+    its own fixed seeds); [relpipe experiments] runs and renders them.
+    EXPERIMENTS.md is the curated record of one such run. *)
 
 val e1_fig34 : unit -> Relpipe_util.Table.t
 (** Fig. 3/4 worked example: single-processor latency 105 vs split 7. *)
@@ -101,5 +101,3 @@ val all : unit -> (string * (unit -> Relpipe_util.Table.t)) list
 (** Every experiment, titled, in DESIGN.md order.  Nothing runs until a
     table is forced, so a caller pays only for the experiments it
     prints. *)
-
-val print_all : unit -> unit

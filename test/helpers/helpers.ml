@@ -132,13 +132,13 @@ let contains ~needle hay =
 (* Tests run in _build/default/test; the CLI is built next door. *)
 let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
 
-(* Run the CLI with stdin at /dev/null; returns (exit code, stdout,
-   stderr). *)
-let run_cli args =
+(* Run the executable [program] with stdin at /dev/null; returns (exit
+   code, stdout, stderr). *)
+let run_exe program args =
   let out = Filename.temp_file "relpipe-test" ".out" in
   let err = Filename.temp_file "relpipe-test" ".err" in
   let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
+    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote program)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out) (Filename.quote err)
   in
@@ -149,3 +149,5 @@ let run_cli args =
     s
   in
   (code, slurp out, slurp err)
+
+let run_cli = run_exe exe

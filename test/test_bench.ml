@@ -1,46 +1,35 @@
 (* End-to-end tests for the bench harness (bench/main.exe): the
-   virtual-clock kernel report must be byte-identical across runs, carry
-   the v2 twin schema, pass a regression check against itself, and fail
-   one against a doctored twice-as-fast baseline. *)
+   virtual-clock kernel report must be byte-identical across runs and
+   carry exactly the v2 twin schema; the regression gate must pass
+   against itself, fail against a doctored twice-as-fast baseline, and
+   refuse a baseline that compares nothing; bad file flags are usage
+   errors. *)
 
 module Json = Relpipe_service.Json
 
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
-let exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
+let check_bool = Alcotest.(check bool)
+let bench = Filename.concat ".." (Filename.concat "bench" "main.exe")
+let run_bench = Helpers.run_exe bench
 
-let run_bench args =
-  let out = Filename.temp_file "relpipe-bench" ".out" in
-  let err = Filename.temp_file "relpipe-bench" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
-
-let slurp path = In_channel.with_open_bin path In_channel.input_all
-
-let report_in tmp =
-  let code, _out, err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--json"; tmp ]
-  in
+let fresh_report () =
+  let tmp = Filename.temp_file "relpipe-bench" ".json" in
+  let code, _out, err = run_bench [ "--virtual-clock"; "--json"; tmp ] in
   check_int "bench exits 0" 0 code;
   check_str "bench stderr empty" "" err;
-  let s = slurp tmp in
+  let s = In_channel.with_open_bin tmp In_channel.input_all in
   Sys.remove tmp;
   s
 
+let temp_json contents =
+  let tmp = Filename.temp_file "relpipe-bench" ".json" in
+  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc contents);
+  tmp
+
 let test_deterministic () =
-  let a = report_in (Filename.temp_file "relpipe-bench" ".json") in
-  let b = report_in (Filename.temp_file "relpipe-bench" ".json") in
-  check_str "virtual-clock reports byte-identical" a b
+  check_str "virtual-clock reports byte-identical" (fresh_report ())
+    (fresh_report ())
 
 let parse_exn s =
   match Json.parse s with
@@ -51,19 +40,18 @@ let get name v =
   match v with Some x -> x | None -> Alcotest.failf "missing field %s" name
 
 let test_schema () =
-  let j = parse_exn (report_in (Filename.temp_file "relpipe-bench" ".json")) in
+  let j = parse_exn (fresh_report ()) in
+  (match j with
+  | Json.Obj fields ->
+      check_str "report keys" "version,date,cpus,virtual_clock,twins"
+        (String.concat "," (List.map fst fields))
+  | _ -> Alcotest.fail "bench JSON is not an object");
   let field name = get name (Json.member name j) in
   check_int "version" 2 (get "version" (Json.to_int (field "version")));
-  Alcotest.(check bool)
-    "virtual_clock" true
+  check_bool "virtual_clock" true
     (get "virtual_clock" (Json.to_bool (field "virtual_clock")));
   check_str "date pinned" "1970-01-01T00:00:00Z"
     (get "date" (Json.to_str (field "date")));
-  (match field "batch_throughput" with
-  | Json.Null -> ()
-  | _ -> Alcotest.fail "batch_throughput not null under virtual clock");
-  check_int "no bechamel rows under virtual clock" 0
-    (List.length (get "benchmarks" (Json.to_list (field "benchmarks"))));
   let twins = get "twins" (Json.to_list (field "twins")) in
   check_int "three kernel twins" 3 (List.length twins);
   let kernels =
@@ -75,119 +63,84 @@ let test_schema () =
       List.iter
         (fun f ->
           match Json.member f t with
-          | Some v ->
-              ignore (get f (Json.to_float v));
-              (* Under the virtual clock every sample costs exactly one
-                 tick, so point estimates and CI endpoints coincide. *)
-              ()
+          | Some v -> ignore (get f (Json.to_float v))
           | None -> Alcotest.failf "twin missing field %s" f)
         [ "ns_opt"; "ci_opt_lo"; "ci_opt_hi"; "ns_ref"; "ci_ref_lo";
           "ci_ref_hi"; "speedup"; "speedup_lo" ])
     twins
 
+(* A fresh virtual-clock report with [edit key value] applied to every
+   field, at the top level and in each twin, written to a temp file. *)
+let doctored_baseline edit =
+  let rec walk = function
+    | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, edit k (walk v))) fields)
+    | Json.List l -> Json.List (List.map walk l)
+    | v -> v
+  in
+  temp_json (Json.to_string (walk (parse_exn (fresh_report ()))))
+
+let against baseline =
+  let result = run_bench [ "--virtual-clock"; "--against"; baseline ] in
+  Sys.remove baseline;
+  result
+
 let test_against_self_passes () =
-  let tmp = Filename.temp_file "relpipe-bench" ".json" in
-  let code, _out, err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--json"; tmp ]
-  in
-  check_int "baseline run exits 0" 0 code;
-  check_str "baseline stderr empty" "" err;
-  let code, out, _err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--against"; tmp ]
-  in
-  Sys.remove tmp;
+  let code, out, _err = against (temp_json (fresh_report ())) in
   check_int "self-comparison exits 0" 0 code;
-  Alcotest.(check bool)
-    "reports OK" true
-    (let ok = "against: OK" in
-     let rec mem i =
-       i + String.length ok <= String.length out
-       && (String.sub out i (String.length ok) = ok || mem (i + 1))
-     in
-     mem 0)
+  check_bool "reports OK" true (Helpers.contains ~needle:"against: OK" out)
 
 let test_against_regression_fails () =
-  (* Doctor the baseline so every kernel claims to have been 2x faster:
-     the current run then looks like a 2x regression and must fail the
-     10% gate. *)
-  let tmp = Filename.temp_file "relpipe-bench" ".json" in
-  let code, _out, _err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--json"; tmp ]
-  in
-  check_int "baseline run exits 0" 0 code;
-  let j = parse_exn (slurp tmp) in
-  let doctored =
-    match j with
-    | Json.Obj fields ->
-        Json.Obj
-          (List.map
-             (fun (k, v) ->
-               if k <> "twins" then (k, v)
-               else
-                 match Json.to_list v with
-                 | None -> (k, v)
-                 | Some twins ->
-                     ( k,
-                       Json.List
-                         (List.map
-                            (function
-                              | Json.Obj tf ->
-                                  Json.Obj
-                                    (List.map
-                                       (fun (tk, tv) ->
-                                         if tk = "ns_opt" then
-                                           match Json.to_float tv with
-                                           | Some ns ->
-                                               (tk, Json.float (ns /. 2.0))
-                                           | None -> (tk, tv)
-                                         else (tk, tv))
-                                       tf)
-                              | t -> t)
-                            twins) ))
-             fields)
-    | _ -> Alcotest.fail "bench JSON is not an object"
-  in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Json.to_string doctored));
+  (* Every kernel claims to have been 2x faster: the current run then
+     looks like a 2x regression and must fail the 10% gate. *)
   let code, _out, err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--against"; tmp ]
+    against
+      (doctored_baseline (fun k v ->
+           match (k, Json.to_float v) with
+           | "ns_opt", Some ns -> Json.float (ns /. 2.0)
+           | _ -> v))
   in
-  Sys.remove tmp;
   check_int "regression exits 1" 1 code;
-  Alcotest.(check bool)
-    "names a failing kernel on stderr" true
-    (let needle = "against: FAIL" in
-     let rec mem i =
-       i + String.length needle <= String.length err
-       && (String.sub err i (String.length needle) = needle || mem (i + 1))
-     in
-     mem 0)
+  check_bool "names a failing kernel on stderr" true
+    (Helpers.contains ~needle:"against: FAIL" err)
 
-let test_throughput_host_fields () =
-  (* PR9's report read "0.14x speedup with 4 workers" without recording
-     that the host had a single cpu.  The throughput row must now carry
-     the host cpu count and an explicit oversubscription flag so the
-     number can be interpreted. *)
-  let tmp = Filename.temp_file "relpipe-bench" ".json" in
-  let code, _out, _err =
-    run_bench [ "--throughput-only"; "--throughput-requests"; "8";
-                "--json"; tmp ]
+(* A virtual tick divided by real nanoseconds reads as a 0.00x-0.02x
+   "improvement", so a baseline on the other clock must be refused. *)
+let test_against_other_clock_refused () =
+  let code, _out, err =
+    against
+      (doctored_baseline (fun k v ->
+           if k = "virtual_clock" then Json.Bool false else v))
   in
-  check_int "throughput-only exits 0" 0 code;
-  let j = parse_exn (slurp tmp) in
-  Sys.remove tmp;
-  let field name = get name (Json.member name j) in
-  let row = field "batch_throughput" in
-  let rf name = get name (Json.member name row) in
-  check_int "requests honours --throughput-requests" 8
-    (get "requests" (Json.to_int (rf "requests")));
-  let workers = get "workers" (Json.to_int (rf "workers")) in
-  let cpus = get "cpus" (Json.to_int (rf "cpus")) in
-  let top_cpus = get "cpus" (Json.to_int (field "cpus")) in
-  check_int "row cpus matches host cpus" top_cpus cpus;
-  Alcotest.(check bool)
-    "oversubscribed = workers > cpus" (workers > cpus)
-    (get "oversubscribed" (Json.to_bool (rf "oversubscribed")))
+  check_int "clock mismatch exits 2" 2 code;
+  check_bool "names the clock mismatch on stderr" true
+    (Helpers.contains ~needle:"\"virtual_clock\":false but this run has true" err)
+
+let test_against_disjoint_refused () =
+  let code, out, err =
+    against
+      (doctored_baseline (fun k v ->
+           match (k, Json.to_str v) with
+           | "kernel", Some s -> Json.Str ("renamed-" ^ s)
+           | _ -> v))
+  in
+  check_int "nothing compared exits 2" 2 code;
+  check_bool "says nothing was compared" true
+    (Helpers.contains ~needle:"shares no kernel with this run" err);
+  check_bool "no OK verdict" false (Helpers.contains ~needle:"against: OK" out)
+
+let test_bad_json_path () =
+  let path = "/nonexistent-dir/x.json" in
+  let code, out, err = run_bench [ "--virtual-clock"; "--json"; path ] in
+  check_int "unwritable report exits 2" 2 code;
+  check_bool "names the path" true (Helpers.contains ~needle:path err);
+  check_bool "no exception" false (Helpers.contains ~needle:"exception" err);
+  check_str "nothing timed before the refusal" "" out;
+  List.iter
+    (fun args ->
+      let code, _out, err = run_bench args in
+      check_int "missing value exits 2" 2 code;
+      check_bool "names the flag" true (Helpers.contains ~needle:"--json needs" err))
+    [ [ "--virtual-clock"; "--json" ]; [ "--json"; "--virtual-clock" ] ]
 
 let () =
   Alcotest.run "bench"
@@ -198,16 +151,20 @@ let () =
           Alcotest.test_case "report carries the v2 twin schema" `Quick
             test_schema;
         ] );
-      ( "throughput",
-        [
-          Alcotest.test_case "row records host cpus and oversubscription"
-            `Quick test_throughput_host_fields;
-        ] );
       ( "against",
         [
           Alcotest.test_case "passes against itself" `Quick
             test_against_self_passes;
           Alcotest.test_case "fails against a doctored 2x-faster baseline"
             `Quick test_against_regression_fails;
+          Alcotest.test_case "refuses a baseline on the other clock" `Quick
+            test_against_other_clock_refused;
+          Alcotest.test_case "refuses a baseline that shares no kernel"
+            `Quick test_against_disjoint_refused;
+        ] );
+      ( "files",
+        [
+          Alcotest.test_case "an unwritable report path is a usage error"
+            `Quick test_bad_json_path;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Smoke tests for the experiment harness: the fast experiments must run
    and contain their expected headline values, so EXPERIMENTS.md cannot
-   silently rot.  (The full E1-E24 sweep runs in bench/main.exe.) *)
+   silently rot.  (The full E1-E24 sweep runs in `relpipe experiments`.) *)
 
 open Relpipe_experiments
 module Table = Relpipe_util.Table

@@ -309,7 +309,7 @@ echo "== bench: kernel-twin smoke (virtual clock) =="
 # The optimized-vs-reference twin harness must run, emit a well-formed v2
 # report, and pass the regression gate against its own output.
 bench=_build/default/bench/main.exe
-"$bench" --kernels-only --virtual-clock --json "$tmp/bench.json" >/dev/null
+"$bench" --virtual-clock --json "$tmp/bench.json" >/dev/null
 for needle in '"version":2' '"virtual_clock":true' '"kernel":"interval-dp"' \
   '"kernel":"general-dp"' '"kernel":"bb"' '"speedup_lo"'; do
   if ! grep -q "$needle" "$tmp/bench.json"; then
@@ -317,7 +317,17 @@ for needle in '"version":2' '"virtual_clock":true' '"kernel":"interval-dp"' \
     exit 1
   fi
 done
-"$bench" --kernels-only --virtual-clock --against "$tmp/bench.json" >/dev/null
+"$bench" --virtual-clock --against "$tmp/bench.json" >/dev/null
+# A committed real-clock report must still parse as a baseline, and the
+# gate must refuse to compare it with virtual-clock timings (exit 2).
+"$bench" --virtual-clock --against BENCH_PR5.json >/dev/null \
+  2>"$tmp/bench.err" && rc=0 || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q '"virtual_clock":false but this run has true' \
+  "$tmp/bench.err"; then
+  echo "check.sh: bench compared a real-clock baseline with virtual timings" >&2
+  cat "$tmp/bench.err" >&2
+  exit 1
+fi
 
 echo "== relpipe prof: virtual-clock snapshot =="
 # Under --virtual-clock the profile is a pure function of the instance,
