@@ -10,12 +10,13 @@
      ([--json FILE]) and compares it with a baseline report
      ([--against FILE]); [--virtual-clock] makes the report byte-stable;
    - [--obs-guard] checks that an ambient no-op observability sink costs
-     the solver kernels at most 2%. *)
+     the solver kernels at most 2%.  It runs alone: given with a flag of
+     the twin gate it is a usage error. *)
 
 open Relpipe_model
 open Relpipe_core
 module Rng = Relpipe_util.Rng
-module J = Relpipe_service.Json
+module J = Relpipe_obs.Json
 
 let make_fully_hetero seed ~n ~m =
   let rng = Rng.create seed in
@@ -394,8 +395,9 @@ let obs_guard ~threshold =
     (100.0 *. !worst) (100.0 *. threshold)
 
 let () =
+  let args = List.tl (Array.to_list Sys.argv) in
   let json_path = ref None and against = ref None in
-  let virtual_clock = ref false and obs_guard_only = ref false in
+  let virtual_clock = ref false in
   let rec parse = function
     | [] -> ()
     | ("--json" | "--against") as flag :: rest -> (
@@ -407,22 +409,24 @@ let () =
     | "--virtual-clock" :: rest ->
         virtual_clock := true;
         parse rest
-    | "--obs-guard" :: rest ->
-        obs_guard_only := true;
-        parse rest
+    | "--obs-guard" :: _ ->
+        (* The guard shares no work with the twin gate, so a gate flag
+           given with it is refused rather than ignored. *)
+        usage_error
+          ("--obs-guard runs alone, but was given: " ^ String.concat " " args)
     | arg :: _ ->
         usage_error
           (Printf.sprintf
              "usage: %s [--json FILE] [--against FILE] [--virtual-clock] \
-              [--obs-guard]\n\
+              | --obs-guard\n\
              \  unknown argument %S"
              Sys.argv.(0) arg)
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  if !obs_guard_only then begin
-    obs_guard ~threshold:0.02;
-    exit 0
-  end;
+  (match args with
+  | [ "--obs-guard" ] ->
+      obs_guard ~threshold:0.02;
+      exit 0
+  | _ -> parse args);
   (* Both files are checked before anything is timed.  The baseline is
      read before the report is opened, so one file can serve as both. *)
   let baseline =

@@ -48,52 +48,43 @@ let to_string ?file d = Format.asprintf "%a" (pp ?file) d
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Relpipe_obs.Json
 
-let span_to_json = function
-  | None -> "null"
+let span_json = function
+  | None -> Json.Null
   | Some { Loc.start; stop } ->
-      Printf.sprintf
-        "{\"line\":%d,\"col\":%d,\"end_line\":%d,\"end_col\":%d}" start.Loc.line
-        start.Loc.col stop.Loc.line stop.Loc.col
+      Json.Obj
+        [
+          ("line", Json.Int start.Loc.line); ("col", Json.Int start.Loc.col);
+          ("end_line", Json.Int stop.Loc.line); ("end_col", Json.Int stop.Loc.col);
+        ]
 
-let to_json d =
-  Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\",\"span\":%s}"
-    (json_escape d.rule)
-    (Severity.to_string d.severity)
-    (json_escape d.message) (span_to_json d.span)
+let json_fields d =
+  [
+    ("rule", Json.Str d.rule);
+    ("severity", Json.Str (Severity.to_string d.severity));
+    ("message", Json.Str d.message);
+    ("span", span_json d.span);
+  ]
+
+let to_json d = Json.to_string (Json.Obj (json_fields d))
 
 let report_to_json ?file ds =
   let ds = sort ds in
   let count sev =
-    List.length (List.filter (fun d -> d.severity = sev) ds)
+    Json.Int (List.length (List.filter (fun d -> d.severity = sev) ds))
   in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"version\":1,";
-  (match file with
-  | Some f -> Buffer.add_string buf (Printf.sprintf "\"file\":\"%s\"," (json_escape f))
-  | None -> ());
-  Buffer.add_string buf "\"findings\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (to_json d))
-    ds;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"summary\":{\"error\":%d,\"warning\":%d,\"hint\":%d}}"
-       (count Severity.Error) (count Severity.Warning) (count Severity.Hint));
-  Buffer.contents buf
+  let file = match file with Some f -> [ ("file", Json.Str f) ] | None -> [] in
+  Json.to_string
+    (Json.Obj
+       ((("version", Json.Int 1) :: file)
+       @ [
+           ("findings", Json.List (List.map (fun d -> Json.Obj (json_fields d)) ds));
+           ( "summary",
+             Json.Obj
+               [
+                 ("error", count Severity.Error);
+                 ("warning", count Severity.Warning);
+                 ("hint", count Severity.Hint);
+               ] );
+         ]))

@@ -38,8 +38,9 @@ val to_string : ?file:string -> t -> string
 
 (** {1 JSON} *)
 
-val json_escape : string -> string
-(** Body of a JSON string literal (no surrounding quotes). *)
+val json_fields : t -> (string * Relpipe_obs.Json.t) list
+(** The fields of {!to_json}'s object, in order, for reports that embed
+    a finding in a larger object. *)
 
 val to_json : t -> string
 (** One finding as a JSON object:

@@ -8,7 +8,6 @@ let bb_max_procs = Relpipe_util.Bitset.max_width
 exception Reject of string
 
 let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
-let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Flat snapshot of the instance, built from model accessors only.  Every
    price below evaluates the paper's equations in the repo's canonical
@@ -274,7 +273,8 @@ let check_bb env ~objective ~claim ~nodes =
     let lb = (lc +. pending_lb) +. env.rem.(next_stage - 1) in
     match status with
     | Cert.Pruned { reason; latency_lb; partial_failure } -> (
-        if not (bits_eq latency_lb lb && bits_eq partial_failure pf) then
+        if not (F.same_bits latency_lb lb && F.same_bits partial_failure pf)
+        then
           reject "recorded bounds at %s do not replay" (path_key rpath);
         match (reason, objective) with
         | Cert.Threshold, Instance.Min_failure { max_latency } ->
@@ -297,7 +297,7 @@ let check_bb env ~objective ~claim ~nodes =
         | None -> reject "evaluated root of an empty pipeline"
         | Some iv ->
             let total = lc +. interval_term_out env iv in
-            if not (bits_eq latency total && bits_eq failure pf) then
+            if not (F.same_bits latency total && F.same_bits failure pf) then
               reject "recorded evaluation at %s does not replay"
                 (path_key rpath);
             let evaluation = { Instance.latency = total; failure = pf } in
@@ -345,8 +345,8 @@ let check_bb env ~objective ~claim ~nodes =
   | Cert.Feasible { latency; failure; mapping }, Some (evaluation, triples) ->
       if
         not
-          (bits_eq latency evaluation.Instance.latency
-          && bits_eq failure evaluation.Instance.failure)
+          (F.same_bits latency evaluation.Instance.latency
+          && F.same_bits failure evaluation.Instance.failure)
       then reject "claimed optimum does not match the replayed incumbent";
       if triples_of_intervals env mapping <> triples then
         reject "claimed mapping does not match the replayed incumbent");
@@ -468,7 +468,7 @@ let check_dp env ~latency:claimed ~mapping ~cells =
         (* [structure] already rejected replicated intervals. *)
         assert false
   in
-  if not (bits_eq total claimed) then
+  if not (F.same_bits total claimed) then
     reject "claim latency does not re-price to the claimed value";
   List.length cells
 

@@ -5,6 +5,7 @@ module Solution = Relpipe_core.Solution
 module Obs = Relpipe_obs.Obs
 module Clock = Relpipe_obs.Clock
 module Pool = Relpipe_pool.Pool
+module F = Relpipe_util.Float_cmp
 
 type step = {
   index : int;
@@ -20,12 +21,10 @@ type step = {
   ttr_ns : int;
 }
 
-let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let equal_dp a b =
   match (a, b) with
   | None, None -> true
-  | Some (l1, m1), Some (l2, m2) -> bits_eq l1 l2 && Mapping.equal m1 m2
+  | Some (l1, m1), Some (l2, m2) -> F.same_bits l1 l2 && Mapping.equal m1 m2
   | (None | Some _), _ -> false
 
 let equal_solution a b =
@@ -33,9 +32,9 @@ let equal_solution a b =
   | None, None -> true
   | Some s1, Some s2 ->
       Mapping.equal s1.Solution.mapping s2.Solution.mapping
-      && bits_eq s1.Solution.evaluation.Instance.latency
+      && F.same_bits s1.Solution.evaluation.Instance.latency
            s2.Solution.evaluation.Instance.latency
-      && bits_eq s1.Solution.evaluation.Instance.failure
+      && F.same_bits s1.Solution.evaluation.Instance.failure
            s2.Solution.evaluation.Instance.failure
   | (None | Some _), _ -> false
 

@@ -2,6 +2,7 @@ open Relpipe_model
 module Obs = Relpipe_obs.Obs
 module Pool = Relpipe_pool.Pool
 module W = Relpipe_util.Workspace
+module F = Relpipe_util.Float_cmp
 
 let max_procs = 14
 
@@ -213,8 +214,6 @@ module Dp = struct
 
   type reuse = { cells_reused : int; cells_total : int }
 
-  let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
   (* The clean set: current processors whose every cost input matches the
      previous state's counterpart.  [prev_of.(u)] is the previous index of
      current processor [u], [-1] for a processor with no previous
@@ -228,7 +227,9 @@ module Dp = struct
     let arrays_eq a b =
       Array.length a = Array.length b
       && (let ok = ref true in
-          Array.iteri (fun i x -> if not (bits_eq x b.(i)) then ok := false) a;
+          Array.iteri
+            (fun i x -> if not (F.same_bits x b.(i)) then ok := false)
+            a;
           !ok)
     in
     if
@@ -253,8 +254,8 @@ module Dp = struct
           let p = prev_of.(u) in
           let clean_base =
             p >= 0
-            && bits_eq t.spd.(u) prev.spd.(p)
-            && bits_eq t.bw_in.(u) prev.bw_in.(p)
+            && F.same_bits t.spd.(u) prev.spd.(p)
+            && F.same_bits t.bw_in.(u) prev.bw_in.(p)
           in
           if not clean_base then dirty := !dirty lor (1 lsl u)
         done;
@@ -268,7 +269,7 @@ module Dp = struct
                 let pu = prev_of.(u) and pv = prev_of.(v) in
                 if
                   not
-                    (bits_eq
+                    (F.same_bits
                        t.bw_pp.((u * m) + v)
                        prev.bw_pp.((pu * prev.m) + pv))
                 then dirty := !dirty lor (1 lsl u) lor (1 lsl v)

@@ -1,6 +1,7 @@
 module Severity = Relpipe_analysis.Severity
 module Diagnostic = Relpipe_analysis.Diagnostic
 module Loc = Relpipe_util.Loc
+module Json = Relpipe_obs.Json
 
 (* Pseudo-rules owned by the driver itself. *)
 let rule ~id ~severity ~title ~rationale ~example =
@@ -260,51 +261,26 @@ let render_text report =
          report.files e w h report.suppressed report.baselined);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json report =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"version\":1,\"tool\":\"relpipe devlint\",\"findings\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      let span =
-        match f.diag.Diagnostic.span with
-        | None -> "null"
-        | Some { Loc.start; stop } ->
-            Printf.sprintf
-              "{\"line\":%d,\"col\":%d,\"end_line\":%d,\"end_col\":%d}"
-              start.Loc.line start.Loc.col stop.Loc.line stop.Loc.col
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"file\":\"%s\",\"rule\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\",\"span\":%s}"
-           (json_escape f.file)
-           (json_escape f.diag.Diagnostic.rule)
-           (Severity.to_string f.diag.Diagnostic.severity)
-           (json_escape f.diag.Diagnostic.message)
-           span))
-    report.findings;
   let e, w, h = summary_counts report in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"summary\":{\"files\":%d,\"error\":%d,\"warning\":%d,\"hint\":%d,\"suppressed\":%d,\"baselined\":%d}}"
-       report.files e w h report.suppressed report.baselined);
-  Buffer.contents buf
+  let finding f =
+    Json.Obj (("file", Json.Str f.file) :: Diagnostic.json_fields f.diag)
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("version", Json.Int 1);
+         ("tool", Json.Str "relpipe devlint");
+         ("findings", Json.List (List.map finding report.findings));
+         ( "summary",
+           Json.Obj
+             [
+               ("files", Json.Int report.files); ("error", Json.Int e);
+               ("warning", Json.Int w); ("hint", Json.Int h);
+               ("suppressed", Json.Int report.suppressed);
+               ("baselined", Json.Int report.baselined);
+             ] );
+       ])
 
 let exit_code report =
   Severity.exit_code

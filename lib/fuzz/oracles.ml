@@ -4,6 +4,7 @@ module F = Relpipe_util.Float_cmp
 module Lru = Relpipe_util.Lru
 module Core = Relpipe_core
 module Service = Relpipe_service
+module Json = Relpipe_obs.Json
 module A = Relpipe_analysis
 
 (* Checks are written as imperative sequences; these exceptions keep the
@@ -343,26 +344,25 @@ let check_roundtrip _ctx rng (case : Gen.case) =
 (* 7. json-floats: bit-identical float round-trips                     *)
 (* ------------------------------------------------------------------ *)
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-let float_eq a b = same_bits a b || (Float.is_nan a && Float.is_nan b)
+let float_eq a b = F.same_bits a b || (Float.is_nan a && Float.is_nan b)
 
 let json_float_roundtrip v =
-  let s = Service.Json.to_string (Service.Json.float v) in
-  match Service.Json.parse s with
+  let s = Json.to_string (Json.float v) in
+  match Json.parse s with
   | Error msg -> Error (Printf.sprintf "%S does not parse back: %s" s msg)
   | Ok j -> (
-      match Service.Json.to_float j with
+      match Json.to_float j with
       | None -> Error (Printf.sprintf "%S decodes to a non-number" s)
       | Some v' when not (float_eq v v') ->
           Error
             (Printf.sprintf "round-trip %.17g -> %S -> %.17g changes bits" v s v')
       | Some _ -> (
           (* Embedded in an object, the way the protocol carries it. *)
-          let os = Service.Json.to_string (Service.Json.Obj [ ("x", Service.Json.float v) ]) in
-          match Service.Json.parse os with
+          let os = Json.to_string (Json.Obj [ ("x", Json.float v) ]) in
+          match Json.parse os with
           | Error msg -> Error (Printf.sprintf "%S does not parse back: %s" os msg)
           | Ok o -> (
-              match Option.bind (Service.Json.member "x" o) Service.Json.to_float with
+              match Option.bind (Json.member "x" o) Json.to_float with
               | Some w when float_eq v w -> Ok ()
               | _ ->
                   Error

@@ -25,7 +25,7 @@
     + [text-roundtrip] — {!Relpipe_model.Textio},
       {!Relpipe_model.Mapping_syntax} and
       {!Relpipe_service.Protocol} print→parse→print byte-identically;
-    + [json-floats] — {!Relpipe_service.Json} number round-trips are
+    + [json-floats] — {!Relpipe_obs.Json} number round-trips are
       bit-identical on adversarial floats (subnormals, [-0.], 1e±308,
       non-finite spellings, random bit patterns);
     + [lru] — {!Relpipe_util.Lru} matches a reference model under random

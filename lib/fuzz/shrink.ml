@@ -1,10 +1,9 @@
 open Relpipe_model
+module F = Relpipe_util.Float_cmp
 
 let max_checks = 1000
 
 type result = { case : Gen.case; steps : int; checks : int }
-
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Round to three significant digits via the printer; keeps the value in
    range (and positive when it was). *)
@@ -70,8 +69,8 @@ let sites (f : Surgery.flat) =
 (* How far a float is from fully shrunk: 0 at its target value, 1 when
    already rounded to three significant digits, 2 otherwise. *)
 let float_cost v target =
-  if same_bits v target then 0
-  else if same_bits v (round_sig3 v) then 1
+  if F.same_bits v target then 0
+  else if F.same_bits v (round_sig3 v) then 1
   else 2
 
 (* Structural size dominates, then the number of unsimplified floats.
@@ -108,14 +107,14 @@ let candidates (flat : Surgery.flat) obj =
     List.concat_map
       (fun (v, target, set) ->
         List.filter_map
-          (fun v' -> if same_bits v v' then None else Some (set v', obj))
+          (fun v' -> if F.same_bits v v' then None else Some (set v', obj))
           [ target; round_sig3 v ])
       (sites flat)
   in
   let objective =
     let simpl mk thr targets =
       List.filter_map
-        (fun t -> if same_bits t thr then None else Some (flat, mk t))
+        (fun t -> if F.same_bits t thr then None else Some (flat, mk t))
         (targets @ [ round_sig3 thr ])
     in
     match obj with

@@ -2,8 +2,8 @@
 
     The Theorem 4 mapping graph (Fig. 6) is layered and acyclic, so its
     shortest path can also be computed by a single topological sweep — a
-    third independent oracle used in tests and the fastest option in the
-    benchmark harness. *)
+    third independent Theorem 4 oracle, next to Dijkstra and
+    Bellman-Ford, in the tests, the fuzz oracles and experiment E6. *)
 
 val topological_order : Graph.t -> int list option
 (** Vertices in a topological order, or [None] when the graph has a

@@ -1,13 +1,16 @@
-(** Minimal JSON values, parser and printer for the JSON-lines protocol.
+(** JSON values, parser and printer: the one codec for all JSON the
+    system writes or reads — protocol requests and replies, metric and
+    trace JSONL, lint and devlint reports, and benchmark reports.
 
-    The toolchain ships no JSON library, so the service carries its own:
-    a strict recursive-descent parser (RFC 8259 values, [\uXXXX] escapes
+    The toolchain ships no JSON library, so relpipe carries its own, in
+    the bottom library so that every writer can use it: a strict
+    recursive-descent parser (RFC 8259 values, [\uXXXX] escapes
     including surrogate pairs) and a deterministic printer (object fields
     in construction order, floats as ["%.17g"] so numeric payloads
     round-trip bit-exactly).  Non-finite floats have no JSON encoding;
     {!to_string} renders them as the strings ["inf"], ["-inf"], ["nan"]
-    and {!to_float} decodes those strings back, keeping the
-    request/response codec total. *)
+    and {!to_float} decodes those strings back, keeping the codec
+    total. *)
 
 type t =
   | Null

@@ -145,25 +145,31 @@ let histogram t name =
     | H h -> h
     | C _ | G _ -> kind_error name
 
-let render_line name = function
-  | C c ->
-      Printf.sprintf "{\"name\":%s,\"type\":\"counter\",\"value\":%d}"
-        (Enc.string name) (Counter.value c)
-  | G g ->
-      Printf.sprintf "{\"name\":%s,\"type\":\"gauge\",\"value\":%d}"
-        (Enc.string name) (Gauge.value g)
-  | H h ->
-      let pairs = ref [] in
-      let counts = Histogram.counts h in
-      for i = Histogram.num_buckets - 1 downto 0 do
-        if counts.(i) > 0 then
-          pairs := Printf.sprintf "[%d,%d]" i counts.(i) :: !pairs
-      done;
-      Printf.sprintf
-        "{\"name\":%s,\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-        (Enc.string name) (Histogram.count h)
-        (Enc.number (Histogram.sum h))
-        (String.concat "," !pairs)
+let render_line name i =
+  let fields =
+    match i with
+    | C c -> [ ("type", Json.Str "counter"); ("value", Json.Int (Counter.value c)) ]
+    | G g -> [ ("type", Json.Str "gauge"); ("value", Json.Int (Gauge.value g)) ]
+    | H h ->
+        let counts = Histogram.counts h and buckets = ref [] in
+        for i = Histogram.num_buckets - 1 downto 0 do
+          if counts.(i) > 0 then
+            buckets := Json.List [ Json.Int i; Json.Int counts.(i) ] :: !buckets
+        done;
+        (* An integral sum prints without a fraction ([2000], not
+           [2000.0]), as virtual-clock snapshots pin it. *)
+        let sum = Histogram.sum h in
+        let sum =
+          if Float.is_integer sum && Float.abs sum < 1e15 then
+            Json.Int (int_of_float sum)
+          else Json.float sum
+        in
+        [
+          ("type", Json.Str "histogram"); ("count", Json.Int (Histogram.count h));
+          ("sum", sum); ("buckets", Json.List !buckets);
+        ]
+  in
+  Json.to_string (Json.Obj (("name", Json.Str name) :: fields))
 
 let sorted_bindings t =
   Mutex.lock t.mu;

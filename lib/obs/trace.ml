@@ -43,26 +43,14 @@ let append ~into t =
   Mutex.unlock into.mu
 
 let event_to_json ev =
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf (Printf.sprintf "{\"ts\":%d" ev.ts);
-  (match ev.dur with
-  | Some d -> Buffer.add_string buf (Printf.sprintf ",\"dur\":%d" d)
-  | None -> ());
-  Buffer.add_string buf (",\"name\":" ^ Enc.string ev.name);
-  (match ev.attrs with
-  | [] -> ()
-  | attrs ->
-      Buffer.add_string buf ",\"attrs\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Enc.string k);
-          Buffer.add_char buf ':';
-          Buffer.add_string buf (Enc.string v))
-        attrs;
-      Buffer.add_char buf '}');
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let dur = match ev.dur with Some d -> [ ("dur", Json.Int d) ] | None -> [] in
+  let attrs =
+    match ev.attrs with
+    | [] -> []
+    | kvs -> [ ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)) ]
+  in
+  Json.to_string
+    (Json.Obj ((("ts", Json.Int ev.ts) :: dur) @ (("name", Json.Str ev.name) :: attrs)))
 
 let to_jsonl t =
   String.concat "" (List.map (fun ev -> event_to_json ev ^ "\n") (events t))

@@ -55,16 +55,15 @@ let request_of_slot slot =
   Protocol.request ~method_:slot.sl_method
     ~instance:(Protocol.Inline slot.sl_text) slot.sl_objective
 
-let run ?obs ?(chunk = 512) ?(accuracy = 0.01) ?(ewma_alpha = 0.05)
-    ?(bloom_fp = 0.01) ?(bloom_expected = 65536) ~solve source =
+let run ?obs ?(chunk = 512) ~solve source =
   if Array.length source.slots = 0 then
     invalid_arg "Atlas.run: empty slot array";
   if chunk <= 0 then invalid_arg "Atlas.run: chunk must be positive";
   let pool = Array.length source.slots in
-  let latency = Stream.Quantile.create ~accuracy () in
-  let gap_ewma = Stream.Ewma.create ~alpha:ewma_alpha in
-  let hit_ewma = Stream.Ewma.create ~alpha:ewma_alpha in
-  let bloom = Stream.Bloom.create ~fp_rate:bloom_fp ~expected:bloom_expected () in
+  let latency = Stream.Quantile.create ~accuracy:0.01 () in
+  let gap_ewma = Stream.Ewma.create ~alpha:0.05 in
+  let hit_ewma = Stream.Ewma.create ~alpha:0.05 in
+  let bloom = Stream.Bloom.create ~fp_rate:0.01 ~expected:65536 () in
   let touched = Array.make pool false in
   let requests = ref 0 in
   let answered = ref 0 in

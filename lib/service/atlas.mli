@@ -73,17 +73,13 @@ type report = {
 val run :
   ?obs:Relpipe_obs.Obs.t ->
   ?chunk:int ->
-  ?accuracy:float ->
-  ?ewma_alpha:float ->
-  ?bloom_fp:float ->
-  ?bloom_expected:int ->
   solve:(Protocol.request array -> Protocol.response array) ->
   source ->
   report
 (** Stream the source through [solve] in [chunk]-sized batches (default
-    [512]).  [accuracy] (default [0.01]) sizes the latency sketch,
-    [ewma_alpha] (default [0.05]) both smoothers, [bloom_fp]/
-    [bloom_expected] (defaults [0.01] / [65536]) the duplicate filter.
+    [512]).  The latency sketch has relative accuracy [0.01], both
+    smoothers weight [0.05], and the duplicate filter is sized for a
+    [0.01] false-positive rate at [65536] distinct keys.
     With [obs], records [atlas.*] counters/histograms and [stream.*]
     gauges as the stream progresses.
     @raise Invalid_argument on an empty slot array, a non-positive

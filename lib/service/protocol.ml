@@ -1,5 +1,6 @@
 open Relpipe_model
 open Relpipe_core
+module Json = Relpipe_obs.Json
 
 let version = 1
 

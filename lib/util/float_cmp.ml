@@ -28,4 +28,6 @@ let compare ?eps a b = if approx_eq ?eps a b then 0 else Float.compare a b
 
 let clamp ~lo ~hi x = Float.min hi (Float.max lo x)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let is_probability x = Float.is_finite x && x >= 0.0 && x <= 1.0

@@ -35,5 +35,11 @@ val compare : ?eps:float -> float -> float -> int
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] restricts [x] to [\[lo, hi\]]. *)
 
+val same_bits : float -> float -> bool
+(** Bit-for-bit equality, with no tolerance: [same_bits 0.0 (-0.0)] is
+    false, and a NaN equals only a NaN with the same payload.  For checks
+    that a replay, a warm re-solve or a round-trip reproduced a value
+    exactly. *)
+
 val is_probability : float -> bool
 (** True when the value is finite and within [\[0, 1\]] (no tolerance). *)

@@ -2,10 +2,10 @@
    virtual-clock kernel report must be byte-identical across runs and
    carry exactly the v2 twin schema; the regression gate must pass
    against itself, fail against a doctored twice-as-fast baseline, and
-   refuse a baseline that compares nothing; bad file flags are usage
-   errors. *)
+   refuse a baseline that compares nothing; bad file flags, and a gate
+   flag given with --obs-guard, are usage errors. *)
 
-module Json = Relpipe_service.Json
+module Json = Relpipe_obs.Json
 
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
@@ -142,6 +142,21 @@ let test_bad_json_path () =
       check_bool "names the flag" true (Helpers.contains ~needle:"--json needs" err))
     [ [ "--virtual-clock"; "--json" ]; [ "--json"; "--virtual-clock" ] ]
 
+(* The guard shares no work with the twin gate, so a gate flag given with
+   it is refused, naming the flag, before anything is timed. *)
+let test_obs_guard_runs_alone () =
+  List.iter
+    (fun (args, flag) ->
+      let code, out, err = run_bench args in
+      check_int "obs-guard with a gate flag exits 2" 2 code;
+      check_bool "names the flag" true (Helpers.contains ~needle:flag err);
+      check_str "nothing timed before the refusal" "" out)
+    [
+      ([ "--obs-guard"; "--against"; "/nonexistent" ], "--against");
+      ([ "--virtual-clock"; "--obs-guard" ], "--virtual-clock");
+      ([ "--obs-guard"; "--json"; "/nonexistent-dir/x.json" ], "--json");
+    ]
+
 let () =
   Alcotest.run "bench"
     [
@@ -166,5 +181,10 @@ let () =
         [
           Alcotest.test_case "an unwritable report path is a usage error"
             `Quick test_bad_json_path;
+        ] );
+      ( "obs-guard",
+        [
+          Alcotest.test_case "refuses a twin-gate flag" `Quick
+            test_obs_guard_runs_alone;
         ] );
     ]

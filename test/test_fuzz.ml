@@ -245,10 +245,10 @@ let json_tests =
           ]);
     test "negative zero keeps its sign through parse" (fun () ->
         (* Regression: Json.parse "-0" decoded as Int 0, losing the sign. *)
-        match Relpipe_service.Json.parse "-0" with
+        match Relpipe_obs.Json.parse "-0" with
         | Error msg -> Alcotest.fail msg
         | Ok j -> (
-            match Relpipe_service.Json.to_float j with
+            match Relpipe_obs.Json.to_float j with
             | Some v ->
                 Alcotest.(check bool)
                   "bits of -0." true

@@ -1,6 +1,7 @@
 (* Tests for relpipe.obs: the injectable clock, the metrics registry
    (counters under Domain parallelism, histogram bucketing laws), the
-   span tracer, the Lru counter registration, and the headline
+   span tracer, string escaping in every JSON writer built on [Json], the
+   Lru counter registration, and the headline
    guarantee — engine traces and metric snapshots under a virtual clock
    are byte-identical across worker counts and never perturb responses.
    The deterministic artifacts (trace/metrics JSONL, [relpipe prof]
@@ -14,6 +15,7 @@ module Clock = Relpipe_obs.Clock
 module Metric = Relpipe_obs.Metric
 module Trace = Relpipe_obs.Trace
 module Obs = Relpipe_obs.Obs
+module Json = Relpipe_obs.Json
 module Snapshot = Helpers.Snapshot
 
 let test = Helpers.test
@@ -219,6 +221,90 @@ let test_trace_append_in_job_order () =
     names
 
 (* ------------------------------------------------------------------ *)
+(* JSON writers: string escaping                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every byte a JSON string needs care with: the control bytes, the quote
+   and the backslash, DEL, and bytes >= 0x80 (passed through raw). *)
+let adversarial_bytes =
+  List.init 0x20 Char.chr
+  @ [ '"'; '\\'; '\x7f'; '\x80'; '\xc3'; '\xa9'; '\xff'; 'a' ]
+
+let adversarial_string =
+  let every = String.of_seq (List.to_seq adversarial_bytes) in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return "");
+          (1, return every);
+          (8, string_size ~gen:(oneofl adversarial_bytes) (1 -- 16));
+        ])
+
+(* The metrics, trace, lint and devlint writers each print one JSON line,
+   free of raw control bytes, that [Json.parse] accepts and whose string
+   fields decode back to the input, wherever the input lands: a metric
+   name, a span name, an attribute key and value, a diagnostic file and
+   message, a devlint finding's file and message. *)
+let prop_writers_escape =
+  QCheck.Test.make ~name:"every JSON writer round-trips adversarial strings"
+    ~count:300 adversarial_string (fun s ->
+      let line body =
+        if not (String.for_all (fun c -> Char.code c >= 0x20) body) then
+          QCheck.Test.fail_reportf "raw control byte in %S" body;
+        match Json.parse body with
+        | Ok j -> Some j
+        | Error e -> QCheck.Test.fail_reportf "%S does not parse: %s" body e
+      in
+      let jsonl out =
+        match String.index_opt out '\n' with
+        | Some i when i = String.length out - 1 -> line (String.sub out 0 i)
+        | _ -> QCheck.Test.fail_reportf "not one JSONL line: %S" out
+      in
+      let get k j = Option.bind j (Json.member k) in
+      let first j =
+        match Option.bind j Json.to_list with Some (x :: _) -> Some x | _ -> None
+      in
+      let decodes what v =
+        match Option.bind v Json.to_str with
+        | Some s' when String.equal s s' -> true
+        | _ -> QCheck.Test.fail_reportf "%s does not decode back to %S" what s
+      in
+      let reg = Metric.create () in
+      (* devlint: allow RP-S402 — the names are adversarial on purpose *)
+      Metric.Counter.incr (Metric.counter reg s);
+      let metric = jsonl (Metric.render_jsonl reg) in
+      let tr = Trace.create ~clock:(Clock.virtual_ ()) in
+      (* devlint: allow RP-S402 — the names are adversarial on purpose *)
+      Trace.span tr ~attrs:[ (s, s) ] s Fun.id;
+      let span = jsonl (Trace.to_jsonl tr) in
+      let diag =
+        Relpipe_analysis.Diagnostic.make ~rule:"RP-I001"
+          ~severity:Relpipe_analysis.Severity.Hint "%s" s
+      in
+      let lint =
+        line (Relpipe_analysis.Diagnostic.report_to_json ~file:s [ diag ])
+      in
+      let devlint =
+        line
+          (Relpipe_devlint.Driver.render_json
+             {
+               findings = [ { file = s; diag } ];
+               files = 1;
+               suppressed = 0;
+               baselined = 0;
+             })
+      in
+      decodes "metric name" (get "name" metric)
+      && decodes "span name" (get "name" span)
+      && decodes "span attribute" (get s (get "attrs" span))
+      && decodes "lint file" (get "file" lint)
+      && decodes "lint message" (get "message" (first (get "findings" lint)))
+      && decodes "devlint file" (get "file" (first (get "findings" devlint)))
+      && decodes "devlint message"
+           (get "message" (first (get "findings" devlint))))
+
+(* ------------------------------------------------------------------ *)
 (* Lru registration                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,6 +468,7 @@ let () =
           test "span records on exception" test_trace_span_records_on_exception;
           test "append merges in job order" test_trace_append_in_job_order;
         ] );
+      ("json", [ QCheck_alcotest.to_alcotest prop_writers_escape ]);
       ( "lru",
         [ test "create_in registers counters" test_lru_create_in_registers_counters ] );
       ( "engine",

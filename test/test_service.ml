@@ -5,6 +5,7 @@
 
 open Relpipe_model
 open Relpipe_service
+module Json = Relpipe_obs.Json
 module Pool = Relpipe_pool.Pool
 module Rng = Relpipe_util.Rng
 module Lru = Relpipe_util.Lru

@@ -328,6 +328,15 @@ if [ "$rc" -ne 2 ] || ! grep -q '"virtual_clock":false but this run has true' \
   cat "$tmp/bench.err" >&2
   exit 1
 fi
+# The obs guard runs alone: a twin-gate flag given with it must be refused
+# (exit 2) before anything is timed, not silently ignored.
+"$bench" --obs-guard --virtual-clock >/dev/null 2>"$tmp/bench.err" \
+  && rc=0 || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q -- '--obs-guard runs alone' "$tmp/bench.err"; then
+  echo "check.sh: bench ran the obs guard with a twin-gate flag" >&2
+  cat "$tmp/bench.err" >&2
+  exit 1
+fi
 
 echo "== relpipe prof: virtual-clock snapshot =="
 # Under --virtual-clock the profile is a pure function of the instance,
