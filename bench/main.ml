@@ -9,9 +9,10 @@
      Core.Reference twins, optionally writes the BENCH v2 report
      ([--json FILE]) and compares it with a baseline report
      ([--against FILE]); [--virtual-clock] makes the report byte-stable;
-   - [--obs-guard] checks that an ambient no-op observability sink costs
-     the solver kernels at most 2%.  It runs alone: given with a flag of
-     the twin gate it is a usage error. *)
+   - [--obs-guard] checks that an ambient live metrics registry, the one
+     [relpipe serve] always runs with, costs the solver kernels at most
+     2%.  It runs alone: given with a flag of the twin gate it is a usage
+     error. *)
 
 open Relpipe_model
 open Relpipe_core
@@ -58,6 +59,27 @@ type twin_result = {
   tw_ci_ref : float * float;
 }
 
+(* Nanoseconds taken by [reps] back-to-back calls of [f]. *)
+let time_reps ~clock f reps =
+  let t0 = Relpipe_obs.Clock.now_ns clock in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  float_of_int (Relpipe_obs.Clock.now_ns clock - t0)
+
+(* Grow the block until the fastest of three tries costs >= 1 ms of real
+   time, so one tick of the microsecond wall clock is at most 0.1% of a
+   block, and a try slowed by a GC slice does not stop the growth early. *)
+let calibrate ~clock f =
+  let fastest reps =
+    List.fold_left Float.min Float.infinity
+      (List.init 3 (fun _ -> time_reps ~clock f reps))
+  in
+  let rec go reps =
+    if fastest reps >= 1e6 || reps >= 1 lsl 20 then reps else go (reps * 2)
+  in
+  go 1
+
 (* Warmup, then min-of-N with a seeded bootstrap percentile CI.  The
    point estimate is the minimum of [samples] timed blocks (the classic
    low-noise estimator for deterministic kernels); the CI is the 2.5/97.5
@@ -69,27 +91,13 @@ let measure_kernel ~clock ~rng f =
   for _ = 1 to 3 do
     ignore (Sys.opaque_identity (f ()))
   done;
-  let time_reps reps =
-    let t0 = Relpipe_obs.Clock.now_ns clock in
-    for _ = 1 to reps do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let t1 = Relpipe_obs.Clock.now_ns clock in
-    float_of_int (t1 - t0)
-  in
   let reps =
-    if Relpipe_obs.Clock.is_virtual clock then 1
-    else begin
-      (* Grow the block until one block costs >= 1 ms of real time. *)
-      let rec calibrate reps =
-        if time_reps reps >= 1e6 || reps >= 1 lsl 20 then reps
-        else calibrate (reps * 2)
-      in
-      calibrate 1
-    end
+    if Relpipe_obs.Clock.is_virtual clock then 1 else calibrate ~clock f
   in
   let samples = 25 in
-  let xs = Array.init samples (fun _ -> time_reps reps /. float_of_int reps) in
+  let xs =
+    Array.init samples (fun _ -> time_reps ~clock f reps /. float_of_int reps)
+  in
   let point = Array.fold_left Float.min Float.infinity xs in
   let b = 200 in
   let mins =
@@ -298,9 +306,15 @@ let write_json (path, oc) ~virtual_clock twins =
   Printf.printf "wrote %s\n" path
 
 (* Observability cost guard: solver kernels with no ambient context vs an
-   ambient no-op sink.  The disabled path is a domain-local read plus
-   dead-counter lookups, so the two timings must agree; a regression here
-   means instrumentation leaked real work onto the hot path. *)
+   ambient live registry, the one [relpipe serve] always runs with (no
+   tracer).  The kernels' instrumentation is a few counter bumps per call,
+   so the two timings must agree; a regression here means instrumentation
+   put real work on the hot path.  Each sample is one calibrated block of
+   at least 1 ms, and the off and live samples are paired block by block,
+   so one pair sits inside a single CPU-frequency / scheduler regime; the
+   MEDIAN ratio over all pairs discards the occasional block that absorbed
+   a GC slice or an interrupt on one side.  The lead order alternates pair
+   by pair to cancel any within-pair bias. *)
 let obs_guard ~threshold =
   let module Obs = Relpipe_obs.Obs in
   let big_general = make_fully_hetero 7 ~n:32 ~m:24 in
@@ -319,72 +333,60 @@ let obs_guard ~threshold =
         fun () -> ignore (Sys.opaque_identity (Interval_exact.min_latency inst_iv)) );
     ]
   in
-  (* Every kernel call takes hundreds of microseconds, so each call is
-     timed individually and the off/noop-sink variants are paired
-     call-by-call — one pair sits well inside a single CPU-frequency /
-     scheduler regime, unlike multi-millisecond blocks, which made the
-     guard flaky on noisy machines.  The per-pair ratio is therefore
-     tight, and the MEDIAN over all pairs discards the occasional call
-     that absorbed a GC slice or an interrupt on one side.  The lead
-     order alternates pair by pair to cancel any within-pair bias. *)
-  let noop = Obs.noop () in
+  let clock = Relpipe_obs.Clock.monotonic () in
+  let live = Some (Obs.create ()) in
   let paired_ratio f =
-    let timed g =
-      let t0 = Unix.gettimeofday () in
-      g ();
-      Unix.gettimeofday () -. t0
-    in
-    let off () = timed f in
-    let with_noop () = Obs.with_ambient (Some noop) (fun () -> timed f) in
+    let reps = calibrate ~clock f in
+    let off () = time_reps ~clock f reps in
+    let on () = Obs.with_ambient live (fun () -> time_reps ~clock f reps) in
     for _ = 1 to 3 do
       ignore (off ());
-      ignore (with_noop ())
+      ignore (on ())
     done;
     let pairs = 301 in
     let offs = Array.make pairs 0.0 in
-    let noops = Array.make pairs 0.0 in
+    let ons = Array.make pairs 0.0 in
     let ratios = Array.make pairs 0.0 in
     for i = 0 to pairs - 1 do
       let a, b =
         if i land 1 = 0 then
           let a = off () in
-          let b = with_noop () in
-          (a, b)
+          (a, on ())
         else
-          let b = with_noop () in
-          let a = off () in
-          (a, b)
+          let b = on () in
+          (off (), b)
       in
       offs.(i) <- a;
-      noops.(i) <- b;
+      ons.(i) <- b;
       ratios.(i) <- b /. a
     done;
     Array.sort Float.compare offs;
-    Array.sort Float.compare noops;
+    Array.sort Float.compare ons;
     Array.sort Float.compare ratios;
-    let mid = pairs / 2 in
-    (offs.(mid), noops.(mid), ratios.(mid))
+    let mid = pairs / 2 and per_call x = x /. float_of_int reps in
+    (reps, per_call offs.(mid), per_call ons.(mid), ratios.(mid))
   in
   let table =
     Relpipe_util.Table.create
-      [ "kernel"; "off ns"; "noop-sink ns"; "overhead" ]
+      [ "kernel"; "calls/sample"; "off ns"; "live ns"; "overhead" ]
   in
   let worst = ref neg_infinity in
   List.iter
     (fun (name, f) ->
-      let t_off, t_noop, median_ratio = paired_ratio f in
+      let reps, t_off, t_on, median_ratio = paired_ratio f in
       let overhead = median_ratio -. 1.0 in
       worst := Float.max !worst overhead;
       Relpipe_util.Table.add_row table
         [
           name;
-          Printf.sprintf "%.1f" (1e9 *. t_off);
-          Printf.sprintf "%.1f" (1e9 *. t_noop);
+          string_of_int reps;
+          Printf.sprintf "%.1f" t_off;
+          Printf.sprintf "%.1f" t_on;
           Printf.sprintf "%+.2f%%" (100.0 *. overhead);
         ])
     kernels;
-  print_endline "Observability no-op-sink cost guard";
-  print_endline "===================================";
+  print_endline "Observability live-registry cost guard";
+  print_endline "======================================";
   Relpipe_util.Table.print table;
   if !worst > threshold then begin
     Printf.eprintf "obs-guard: FAIL — worst overhead %+.2f%% exceeds %.0f%%\n"

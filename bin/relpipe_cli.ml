@@ -105,7 +105,7 @@ let format_arg =
 let virtual_clock_flag =
   let doc =
     "Timestamp metrics and traces with a deterministic virtual clock \
-     (fixed tick per reading) instead of the monotonic clock, so the \
+     (fixed tick per reading) instead of the wall clock, so the \
      files are byte-identical across runs and worker counts."
   in
   Arg.(value & flag & info [ "virtual-clock" ] ~doc)
@@ -1763,7 +1763,6 @@ let serve_cmd =
                 Serve.Server.endpoints;
                 queue_capacity = queue;
                 session_window = window;
-                max_line = Serve.Frame.default_max_line;
                 record;
               }
             in

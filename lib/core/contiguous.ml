@@ -2,7 +2,10 @@ open Relpipe_model
 
 let applicable instance = Classify.links_homogeneous instance.Instance.platform
 
-let solve ?(max_intervals = 3) instance objective =
+(* Segments multiply fast beyond three intervals. *)
+let max_intervals = 3
+
+let solve instance objective =
   if not (applicable instance) then
     invalid_arg "Contiguous.solve: links must be homogeneous";
   let { Instance.pipeline; platform } = instance in

@@ -20,12 +20,7 @@ open Relpipe_model
 val applicable : Instance.t -> bool
 (** Links homogeneous (any failure pattern). *)
 
-val solve :
-  ?max_intervals:int ->
-  Instance.t ->
-  Instance.objective ->
-  Solution.t option
-(** Best mapping whose replication sets are speed-contiguous segments.
-    [max_intervals] bounds the interval count (default 3 — segments
-    multiply fast beyond that).  @raise Invalid_argument when not
-    {!applicable}. *)
+val solve : Instance.t -> Instance.objective -> Solution.t option
+(** Best mapping whose replication sets are speed-contiguous segments,
+    over at most 3 intervals (segments multiply fast beyond that).
+    @raise Invalid_argument when not {!applicable}. *)

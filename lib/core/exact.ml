@@ -5,14 +5,13 @@ module Obs = Relpipe_obs.Obs
 
 exception Too_large of string
 
-let iter_mappings ?max_intervals ~n ~m f =
+let iter_mappings ~n ~m f =
   if m > B.max_width then invalid_arg "Exact.iter_mappings: too many processors";
-  let cap = Option.value max_intervals ~default:(min n m) in
   let pool = B.full m in
   Seq.iter
     (fun intervals ->
       let p = List.length intervals in
-      if p <= cap && p <= m then
+      if p <= m then
         Seq.iter
           (fun subsets ->
             let ivs =
@@ -25,17 +24,17 @@ let iter_mappings ?max_intervals ~n ~m f =
           (C.disjoint_assignments pool p))
     (C.compositions n)
 
-let count_mappings ?max_intervals ~n ~m () =
+let count_mappings ~n ~m () =
   let count = ref 0 in
-  iter_mappings ?max_intervals ~n ~m (fun _ -> incr count);
+  iter_mappings ~n ~m (fun _ -> incr count);
   !count
 
-let solve ?max_intervals ?(budget = 5_000_000) instance objective =
+let solve ?(budget = 5_000_000) instance objective =
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in
   let best = ref None in
   let seen = ref 0 in
-  iter_mappings ?max_intervals ~n ~m (fun mapping ->
+  iter_mappings ~n ~m (fun mapping ->
       incr seen;
       if !seen > budget then
         raise

@@ -14,23 +14,17 @@ open Relpipe_model
 exception Too_large of string
 (** Raised when the enumeration would exceed the configured budget. *)
 
-val iter_mappings :
-  ?max_intervals:int -> n:int -> m:int -> (Mapping.t -> unit) -> unit
+val iter_mappings : n:int -> m:int -> (Mapping.t -> unit) -> unit
 (** Enumerate every interval mapping with replication of an [n]-stage
     pipeline over [m] processors: all interval partitions (at most
-    [max_intervals] parts, default [min n m]) combined with all assignments
-    of pairwise-disjoint non-empty processor subsets.
+    [min n m] parts) combined with all assignments of pairwise-disjoint
+    non-empty processor subsets.
     @raise Invalid_argument when [m] exceeds {!Relpipe_util.Bitset.max_width}. *)
 
-val count_mappings : ?max_intervals:int -> n:int -> m:int -> unit -> int
+val count_mappings : n:int -> m:int -> unit -> int
 (** Size of the space {!iter_mappings} walks. *)
 
-val solve :
-  ?max_intervals:int ->
-  ?budget:int ->
-  Instance.t ->
-  Instance.objective ->
-  Solution.t option
+val solve : ?budget:int -> Instance.t -> Instance.objective -> Solution.t option
 (** Optimal interval mapping for the objective by full enumeration.
     [budget] caps the number of evaluated mappings (default [5_000_000]).
     @raise Too_large when the budget is exceeded. *)

@@ -117,80 +117,84 @@ let balanced_composition pipeline p =
   in
   build 1 bounds
 
+let seeded_split pipeline platform p =
+  let intervals = Array.of_list (balanced_composition pipeline p) in
+  if Array.length intervals <> p then None
+  else begin
+    (* Seed: pair the largest-work interval with the fastest processor. *)
+    let order_by_work =
+      List.sort
+        (fun i j ->
+          Float.compare
+            (Pipeline.work_sum pipeline ~first:(fst intervals.(j)) ~last:(snd intervals.(j)))
+            (Pipeline.work_sum pipeline ~first:(fst intervals.(i)) ~last:(snd intervals.(i))))
+        (List.init p Fun.id)
+    in
+    let fastest = Array.of_list (Mono.fastest_procs platform) in
+    let sets = Array.make p [] in
+    List.iteri (fun rank j -> sets.(j) <- [ fastest.(rank) ]) order_by_work;
+    Some (intervals, sets)
+  end
+
 let split_replicate instance objective =
   let { Instance.pipeline; platform } = instance in
   let n, m = dims instance in
   let best = ref None in
-  let try_p p =
-    let intervals = Array.of_list (balanced_composition pipeline p) in
-    if Array.length intervals <> p then ()
-    else begin
-      (* Seed: pair the largest-work interval with the fastest processor. *)
-      let order_by_work =
-        List.sort
-          (fun i j ->
-            Float.compare
-              (Pipeline.work_sum pipeline ~first:(fst intervals.(j)) ~last:(snd intervals.(j)))
-              (Pipeline.work_sum pipeline ~first:(fst intervals.(i)) ~last:(snd intervals.(i))))
-          (List.init p Fun.id)
-      in
-      let fastest = Array.of_list (Mono.fastest_procs platform) in
-      let sets = Array.make p [] in
-      List.iteri (fun rank j -> sets.(j) <- [ fastest.(rank) ]) order_by_work;
-      let used = Array.make m false in
-      Array.iter (fun procs -> List.iter (fun u -> used.(u) <- true) procs) sets;
-      let build () =
-        Mapping.make ~n ~m
-          (List.init p (fun j ->
-               { Mapping.first = fst intervals.(j); last = snd intervals.(j);
-                 procs = List.sort Int.compare sets.(j) }))
-      in
-      let current = ref (Solution.of_mapping instance (build ())) in
-      best := keep_best objective !best !current;
-      (* Greedy replica additions: pick the (processor, interval) pair that
-         best improves the score until no addition helps. *)
-      let score (s : Solution.t) =
-        let e = s.Solution.evaluation in
-        match objective with
-        | Instance.Min_latency { max_failure } ->
-            let viol = Float.max 0.0 (e.Instance.failure -. max_failure) in
-            (viol, e.Instance.latency)
-        | Instance.Min_failure { max_latency } ->
-            let viol = Float.max 0.0 (e.Instance.latency -. max_latency) in
-            (viol, e.Instance.failure)
-      in
-      let improved = ref true in
-      while !improved do
-        improved := false;
-        let current_score = score !current in
-        let best_move = ref None in
-        for u = 0 to m - 1 do
-          if not used.(u) then
-            for j = 0 to p - 1 do
-              sets.(j) <- u :: sets.(j);
-              let cand = Solution.of_mapping instance (build ()) in
-              let sc = score cand in
-              if sc < current_score then begin
-                match !best_move with
-                | Some (bsc, _, _, _) when bsc <= sc -> ()
-                | _ -> best_move := Some (sc, u, j, cand)
-              end;
-              sets.(j) <- List.tl sets.(j)
-            done
-        done;
-        match !best_move with
-        | Some (_, u, j, cand) ->
+  let try_split (intervals, sets) =
+    let p = Array.length intervals in
+    let used = Array.make m false in
+    Array.iter (fun procs -> List.iter (fun u -> used.(u) <- true) procs) sets;
+    let build () =
+      Mapping.make ~n ~m
+        (List.init p (fun j ->
+             { Mapping.first = fst intervals.(j); last = snd intervals.(j);
+               procs = List.sort Int.compare sets.(j) }))
+    in
+    let current = ref (Solution.of_mapping instance (build ())) in
+    best := keep_best objective !best !current;
+    (* Greedy replica additions: pick the (processor, interval) pair that
+       best improves the score until no addition helps. *)
+    let score (s : Solution.t) =
+      let e = s.Solution.evaluation in
+      match objective with
+      | Instance.Min_latency { max_failure } ->
+          let viol = Float.max 0.0 (e.Instance.failure -. max_failure) in
+          (viol, e.Instance.latency)
+      | Instance.Min_failure { max_latency } ->
+          let viol = Float.max 0.0 (e.Instance.latency -. max_latency) in
+          (viol, e.Instance.failure)
+    in
+    let improved = ref true in
+    while !improved do
+      improved := false;
+      let current_score = score !current in
+      let best_move = ref None in
+      for u = 0 to m - 1 do
+        if not used.(u) then
+          for j = 0 to p - 1 do
             sets.(j) <- u :: sets.(j);
-            used.(u) <- true;
-            current := cand;
-            best := keep_best objective !best cand;
-            improved := true
-        | None -> ()
-      done
-    end
+            let cand = Solution.of_mapping instance (build ()) in
+            let sc = score cand in
+            if sc < current_score then begin
+              match !best_move with
+              | Some (bsc, _, _, _) when bsc <= sc -> ()
+              | _ -> best_move := Some (sc, u, j, cand)
+            end;
+            sets.(j) <- List.tl sets.(j)
+          done
+      done;
+      match !best_move with
+      | Some (_, u, j, cand) ->
+          sets.(j) <- u :: sets.(j);
+          used.(u) <- true;
+          current := cand;
+          best := keep_best objective !best cand;
+          improved := true
+      | None -> ()
+    done
   in
   for p = 1 to min n m do
-    try_p p
+    Option.iter try_split (seeded_split pipeline platform p)
   done;
   !best
 
@@ -414,7 +418,11 @@ let annealing ?(seed = 1) ?(iterations = 8000) instance objective =
   in
   search ~accept ~iterations ~seed instance objective
 
-let iterated ?(seed = 1) ?(rounds = 12) ?(descent = 600) instance objective =
+(* Iterated local search: [rounds] rounds of a [descent]-step hill climb. *)
+let rounds = 12
+let descent = 600
+
+let iterated ?(seed = 1) instance objective =
   let n, m = dims instance in
   let rng = Rng.create seed in
   let initial =

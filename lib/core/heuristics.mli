@@ -37,6 +37,14 @@ val single_greedy : Instance.t -> Instance.objective -> Solution.t option
 
 val split_replicate : Instance.t -> Instance.objective -> Solution.t option
 
+val seeded_split :
+  Pipeline.t -> Platform.t -> int -> ((int * int) array * int list array) option
+(** Split-and-replicate's starting point for [p] intervals: [p]
+    intervals [(first, last)] of roughly equal work covering the stages in
+    order, each with one processor — the largest-work interval on the
+    fastest processor, the next on the next-fastest, and so on.  [None]
+    when the work-balanced cut yields fewer than [p] intervals. *)
+
 val local_search :
   ?seed:int -> ?iterations:int -> Instance.t -> Instance.objective ->
   Solution.t option
@@ -48,10 +56,9 @@ val annealing :
 (** Default 8000 iterations, geometric cooling. *)
 
 val iterated :
-  ?seed:int -> ?rounds:int -> ?descent:int -> Instance.t ->
-  Instance.objective -> Solution.t option
-(** Default 12 rounds of a [descent]-step hill climb (default 600) after a
-    3-move perturbation of the incumbent. *)
+  ?seed:int -> Instance.t -> Instance.objective -> Solution.t option
+(** 12 rounds of a 600-step hill climb, each round after the first
+    starting from a 3-move perturbation of the incumbent. *)
 
 val run :
   ?seed:int -> name -> Instance.t -> Instance.objective -> Solution.t option

@@ -252,7 +252,9 @@ let exact_bicriteria instance objective =
     !best
   end
 
-let local_search ?(seed = 42) ?(restarts = 8) instance =
+let restarts = 8
+
+let local_search ?(seed = 42) instance =
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in
   if n > m then None

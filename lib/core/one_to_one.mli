@@ -24,11 +24,10 @@ val greedy : Instance.t -> (float * Mapping.t) option
 (** Stage-by-stage greedy: each stage takes the unused processor that
     minimizes the incremental (communication + computation) cost. *)
 
-val local_search :
-  ?seed:int -> ?restarts:int -> Instance.t -> (float * Mapping.t) option
+val local_search : ?seed:int -> Instance.t -> (float * Mapping.t) option
 (** Greedy start plus hill climbing over two moves — swapping the
     processors of two stages, and retargeting one stage to an unused
-    processor — with random restarts (default 8). *)
+    processor — with 8 random restarts. *)
 
 val exact_bicriteria : Instance.t -> Instance.objective -> Solution.t option
 (** Optimal one-to-one mapping for a bi-criteria objective.  Without

@@ -54,20 +54,28 @@ let small_enough ~budget instance =
      count confirms it is within budget. *)
   n <= 6 && m <= 6 && Exact.count_mappings ~n ~m () <= budget
 
+(* Auto's choice, shared by [auto] and [describe]. *)
+type leg = Algorithms_1_2 | Algorithms_3_4 | Enumeration | Portfolio_leg
+
+let leg ~exact_budget instance =
+  if Fully_homog.applicable instance then Algorithms_1_2
+  else if Comm_homog.applicable instance then Algorithms_3_4
+  else if small_enough ~budget:exact_budget instance then Enumeration
+  else Portfolio_leg
+
 let auto ~exact_budget instance objective =
-  if Fully_homog.applicable instance || Comm_homog.applicable instance then
-    polynomial instance objective
-  else if small_enough ~budget:exact_budget instance then
-    Exact.solve ~budget:exact_budget instance objective
-  else begin
-    let portfolio = Heuristics.best_of instance objective in
-    (* On Communication Homogeneous platforms the speed-contiguous solver
-       is cheap and captures the structure of known optima (e.g. Fig. 5);
-       fold it into the portfolio. *)
-    if Contiguous.applicable instance then
-      Solution.best objective portfolio (Contiguous.solve instance objective)
-    else portfolio
-  end
+  match leg ~exact_budget instance with
+  | Algorithms_1_2 -> Fully_homog.solve instance objective
+  | Algorithms_3_4 -> Comm_homog.solve instance objective
+  | Enumeration -> Exact.solve ~budget:exact_budget instance objective
+  | Portfolio_leg ->
+      let portfolio = Heuristics.best_of instance objective in
+      (* On Communication Homogeneous platforms the speed-contiguous solver
+         is cheap and captures the structure of known optima (e.g. Fig. 5);
+         fold it into the portfolio. *)
+      if Contiguous.applicable instance then
+        Solution.best objective portfolio (Contiguous.solve instance objective)
+      else portfolio
 
 let dispatch ~method_ ~exact_budget instance objective =
   match method_ with
@@ -77,7 +85,9 @@ let dispatch ~method_ ~exact_budget instance objective =
   | Heuristic name -> Heuristics.run name instance objective
   | Portfolio -> Heuristics.best_of instance objective
 
-let run ?(method_ = Auto) ?(exact_budget = 200_000) instance objective =
+let default_exact_budget = 200_000
+
+let run ?(method_ = Auto) ?(exact_budget = default_exact_budget) instance objective =
   match check_instance instance with
   | Error _ as e -> e
   | Ok () -> (
@@ -102,12 +112,11 @@ let describe instance =
   let comm = Classify.comm_class platform in
   let fail = Classify.failure_class platform in
   let method_name =
-    if Fully_homog.applicable instance then "Algorithms 1/2 (polynomial, optimal)"
-    else if Comm_homog.applicable instance then
-      "Algorithms 3/4 (polynomial, optimal)"
-    else if small_enough ~budget:200_000 instance then
-      "exhaustive enumeration (instance is small)"
-    else "heuristic portfolio (NP-hard/open case)"
+    match leg ~exact_budget:default_exact_budget instance with
+    | Algorithms_1_2 -> "Algorithms 1/2 (polynomial, optimal)"
+    | Algorithms_3_4 -> "Algorithms 3/4 (polynomial, optimal)"
+    | Enumeration -> "exhaustive enumeration (instance is small)"
+    | Portfolio_leg -> "heuristic portfolio (NP-hard/open case)"
   in
   Format.asprintf "%a, %a -> %s" Classify.pp_comm_class comm
     Classify.pp_failure_class fail method_name

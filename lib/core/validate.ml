@@ -12,14 +12,18 @@ type report = {
   diagnostics : Relpipe_analysis.Diagnostic.t list;
 }
 
-let certify ?(certify_budget = 36) instance objective (s : Solution.t) =
+(* Branch-and-bound certifies intractable classes up to n * m = 36 (n, m
+   <= 6). *)
+let certify_budget = 36
+
+let certify instance objective (s : Solution.t) =
   let reference =
     if Fully_homog.applicable instance then Fully_homog.solve instance objective
     else if Comm_homog.applicable instance then Comm_homog.solve instance objective
     else begin
       let n = Pipeline.length instance.Instance.pipeline in
       let m = Platform.size instance.Instance.platform in
-      if certify_budget > 0 && n * m <= certify_budget then
+      if n * m <= certify_budget then
         Bb.solve instance objective
       else None
     end
@@ -35,7 +39,7 @@ let certify ?(certify_budget = 36) instance objective (s : Solution.t) =
       if F.approx_eq ~eps:1e-6 mine best then Optimal
       else Suboptimal (mine -. best)
 
-let check ?certify_budget instance objective s =
+let check instance objective s =
   let n = Pipeline.length instance.Instance.pipeline in
   let m = Platform.size instance.Instance.platform in
   let messages = ref [] in
@@ -80,7 +84,7 @@ let check ?certify_budget instance objective s =
   let optimality =
     if not (structurally_valid && feasible) then Unknown
     else begin
-      match certify ?certify_budget instance objective s with
+      match certify instance objective s with
       | Optimal -> Optimal
       | Suboptimal gap ->
           say "suboptimal by %g (certified)" gap;

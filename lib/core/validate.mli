@@ -26,15 +26,10 @@ type report = {
           [messages] *)
 }
 
-val check :
-  ?certify_budget:int ->
-  Instance.t ->
-  Instance.objective ->
-  Solution.t ->
-  report
-(** [certify_budget] caps the branch-and-bound effort used for optimality
-    certificates on intractable classes (number of stages times processors
-    cap, default suitable for n, m <= 6; pass [0] to skip). *)
+val check : Instance.t -> Instance.objective -> Solution.t -> report
+(** On intractable classes the optimality certificate comes from
+    branch-and-bound, run only when stages times processors is at most
+    36 (n, m <= 6); beyond that optimality is [Unknown]. *)
 
 val ok : report -> bool
 (** Structurally valid, consistent and feasible (optimality not

@@ -129,6 +129,5 @@ let to_string mapping =
              string_of_int iv.Mapping.first
            else Printf.sprintf "%d-%d" iv.Mapping.first iv.Mapping.last
          in
-         Printf.sprintf "%s:%s" range
-           (String.concat "," (List.map string_of_int iv.Mapping.procs)))
+         range ^ ":" ^ String.concat "," (List.map string_of_int iv.Mapping.procs))
        (Mapping.intervals mapping))

@@ -181,42 +181,55 @@ let parse text =
                utf8_add buf cp
            | c -> fail (Printf.sprintf "invalid escape \\%c" c));
           go ()
+      | c when Char.code c < 0x20 ->
+          fail (Printf.sprintf "raw control character 0x%02x in string" (Char.code c))
       | c -> Buffer.add_char buf c; advance (); go ()
     in
     go ();
     Buffer.contents buf
   in
+  (* RFC 8259 section 6: an optional minus, then 0 or a digit run not
+     starting with 0, then optionally a point and one or more digits, then
+     optionally e or E, an optional sign and one or more digits. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let at c = !pos < len && Char.equal text.[!pos] c in
+    let digits () =
+      let first = !pos in
+      while !pos < len && (match text.[!pos] with '0' .. '9' -> true | _ -> false) do
+        advance ()
+      done;
+      !pos > first
     in
-    while !pos < len && is_num_char text.[!pos] do
-      advance ()
-    done;
+    let invalid () =
+      fail (Printf.sprintf "invalid number %S" (String.sub text start (!pos - start)))
+    in
+    if at '-' then advance ();
+    if at '0' then begin
+      advance ();
+      if digits () then fail "leading zero in number"
+    end
+    else if not (digits ()) then invalid ();
+    let is_float = at '.' || at 'e' || at 'E' in
+    if at '.' then begin
+      advance ();
+      if not (digits ()) then invalid ()
+    end;
+    if at 'e' || at 'E' then begin
+      advance ();
+      if at '+' || at '-' then advance ();
+      if not (digits ()) then invalid ()
+    end;
     let s = String.sub text start (!pos - start) in
-    let has_float_syntax =
-      String.exists
-        (fun c -> match c with '.' | 'e' | 'E' -> true | _ -> false)
-        s
-    in
-    if has_float_syntax then
-      match float_of_string_opt s with
-      | Some x -> Float x
-      | None -> fail (Printf.sprintf "invalid number %S" s)
+    if is_float then Float (float_of_string s)
     else
       match int_of_string_opt s with
       (* "-0" must keep its sign: Int cannot represent negative zero, so
          the round-trip Float (-0.) -> "-0" -> parse stays bit-identical
          only through the Float constructor. *)
-      | Some 0 when String.length s > 0 && s.[0] = '-' -> Float (-0.)
+      | Some 0 when s.[0] = '-' -> Float (-0.)
       | Some i -> Int i
-      | None -> (
-          match float_of_string_opt s with
-          | Some x -> Float x
-          | None -> fail (Printf.sprintf "invalid number %S" s))
+      | None -> Float (float_of_string s)  (* beyond the int range *)
   in
   let rec parse_value () =
     skip_ws ();

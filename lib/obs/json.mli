@@ -22,7 +22,10 @@ type t =
   | Obj of (string * t) list  (** fields in declaration order *)
 
 val parse : string -> (t, string) result
-(** Parse one JSON document; trailing non-whitespace is an error.
+(** Parse one JSON document; trailing non-whitespace is an error, and so
+    are a number outside RFC 8259's grammar (a leading zero as in [007],
+    a point with no digit after it as in [1.]) and a raw byte
+    0x00-0x1f inside a string (it must be escaped).
     Errors read ["offset N: message"].  The literal ["-0"] parses as
     [Float (-0.)] (not [Int 0]) so negative zero survives a print→parse
     round-trip bit-identically. *)

@@ -1,30 +1,26 @@
 module Counter = struct
-  type t = { live : bool; v : int Atomic.t }
+  type t = int Atomic.t
 
-  let make () = { live = true; v = Atomic.make 0 }
-  let noop = { live = false; v = Atomic.make 0 }
-  let add t k = if t.live then ignore (Atomic.fetch_and_add t.v k)
+  let make () = Atomic.make 0
+  let add t k = ignore (Atomic.fetch_and_add t k)
   let incr t = add t 1
-  let value t = Atomic.get t.v
+  let value = Atomic.get
 end
 
 module Gauge = struct
-  type t = { live : bool; v : int Atomic.t }
+  type t = int Atomic.t
 
-  let make () = { live = true; v = Atomic.make 0 }
-  let noop = { live = false; v = Atomic.make 0 }
-  let set t x = if t.live then Atomic.set t.v x
+  let make () = Atomic.make 0
+  let set = Atomic.set
 
   let record_max t x =
-    if t.live then begin
-      let rec go () =
-        let cur = Atomic.get t.v in
-        if x > cur && not (Atomic.compare_and_set t.v cur x) then go ()
-      in
-      go ()
-    end
+    let rec go () =
+      let cur = Atomic.get t in
+      if x > cur && not (Atomic.compare_and_set t cur x) then go ()
+    in
+    go ()
 
-  let value t = Atomic.get t.v
+  let value = Atomic.get
 end
 
 module Histogram = struct
@@ -42,7 +38,6 @@ module Histogram = struct
   let bucket_lower i = if i = 0 then Float.neg_infinity else Float.ldexp 1.0 (i - 1)
 
   type t = {
-    live : bool;
     mu : Mutex.t;
     buckets : int array;
     mutable n : int;
@@ -50,32 +45,15 @@ module Histogram = struct
   }
 
   let make () =
-    {
-      live = true;
-      mu = Mutex.create ();
-      buckets = Array.make num_buckets 0;
-      n = 0;
-      total = 0.0;
-    }
-
-  let noop =
-    {
-      live = false;
-      mu = Mutex.create ();
-      buckets = Array.make num_buckets 0;
-      n = 0;
-      total = 0.0;
-    }
+    { mu = Mutex.create (); buckets = Array.make num_buckets 0; n = 0; total = 0.0 }
 
   let observe t v =
-    if t.live then begin
-      Mutex.lock t.mu;
-      let i = bucket_index v in
-      t.buckets.(i) <- t.buckets.(i) + 1;
-      t.n <- t.n + 1;
-      t.total <- t.total +. v;
-      Mutex.unlock t.mu
-    end
+    Mutex.lock t.mu;
+    let i = bucket_index v in
+    t.buckets.(i) <- t.buckets.(i) + 1;
+    t.n <- t.n + 1;
+    t.total <- t.total +. v;
+    Mutex.unlock t.mu
 
   let count t = t.n
   let sum t = t.total
@@ -100,11 +78,9 @@ type instrument =
   | G of Gauge.t
   | H of Histogram.t
 
-type t = { live : bool; mu : Mutex.t; tbl : (string, instrument) Hashtbl.t }
+type t = { mu : Mutex.t; tbl : (string, instrument) Hashtbl.t }
 
-let create () = { live = true; mu = Mutex.create (); tbl = Hashtbl.create 64 }
-let noop () = { live = false; mu = Mutex.create (); tbl = Hashtbl.create 1 }
-let is_live t = t.live
+let create () = { mu = Mutex.create (); tbl = Hashtbl.create 64 }
 
 let lookup t name make_i =
   Mutex.lock t.mu;
@@ -125,51 +101,66 @@ let kind_error name =
        name)
 
 let counter t name =
-  if not t.live then Counter.noop
-  else
-    match lookup t name (fun () -> C (Counter.make ())) with
-    | C c -> c
-    | G _ | H _ -> kind_error name
+  match lookup t name (fun () -> C (Counter.make ())) with
+  | C c -> c
+  | G _ | H _ -> kind_error name
 
 let gauge t name =
-  if not t.live then Gauge.noop
-  else
-    match lookup t name (fun () -> G (Gauge.make ())) with
-    | G g -> g
-    | C _ | H _ -> kind_error name
+  match lookup t name (fun () -> G (Gauge.make ())) with
+  | G g -> g
+  | C _ | H _ -> kind_error name
 
 let histogram t name =
-  if not t.live then Histogram.noop
-  else
-    match lookup t name (fun () -> H (Histogram.make ())) with
-    | H h -> h
-    | C _ | G _ -> kind_error name
+  match lookup t name (fun () -> H (Histogram.make ())) with
+  | H h -> h
+  | C _ | G _ -> kind_error name
 
-let render_line name i =
-  let fields =
-    match i with
-    | C c -> [ ("type", Json.Str "counter"); ("value", Json.Int (Counter.value c)) ]
-    | G g -> [ ("type", Json.Str "gauge"); ("value", Json.Int (Gauge.value g)) ]
-    | H h ->
-        let counts = Histogram.counts h and buckets = ref [] in
-        for i = Histogram.num_buckets - 1 downto 0 do
-          if counts.(i) > 0 then
-            buckets := Json.List [ Json.Int i; Json.Int counts.(i) ] :: !buckets
-        done;
-        (* An integral sum prints without a fraction ([2000], not
-           [2000.0]), as virtual-clock snapshots pin it. *)
-        let sum = Histogram.sum h in
-        let sum =
-          if Float.is_integer sum && Float.abs sum < 1e15 then
-            Json.Int (int_of_float sum)
-          else Json.float sum
-        in
-        [
-          ("type", Json.Str "histogram"); ("count", Json.Int (Histogram.count h));
-          ("sum", sum); ("buckets", Json.List !buckets);
-        ]
-  in
-  Json.to_string (Json.Obj (("name", Json.Str name) :: fields))
+type view =
+  | Counter_v of int
+  | Gauge_v of int
+  | Histogram_v of { count : int; sum : float }
+
+let view_of = function
+  | C c -> Counter_v (Counter.value c)
+  | G g -> Gauge_v (Gauge.value g)
+  | H h -> Histogram_v { count = Histogram.count h; sum = Histogram.sum h }
+
+let view_fields (name, view) =
+  ("name", Json.Str name)
+  ::
+  (match view with
+  | Counter_v v -> [ ("type", Json.Str "counter"); ("value", Json.Int v) ]
+  | Gauge_v v -> [ ("type", Json.Str "gauge"); ("value", Json.Int v) ]
+  | Histogram_v { count; sum } ->
+      (* An integral sum prints without a fraction ([2000], not
+         [2000.0]), as virtual-clock snapshots pin it. *)
+      let sum =
+        if Float.is_integer sum && Float.abs sum < 1e15 then
+          Json.Int (int_of_float sum)
+        else Json.float sum
+      in
+      [ ("type", Json.Str "histogram"); ("count", Json.Int count); ("sum", sum) ])
+
+let view_to_json binding = Json.Obj (view_fields binding)
+
+let view_of_json j =
+  let str name = Option.bind (Json.member name j) Json.to_str in
+  let int_ name = Option.bind (Json.member name j) Json.to_int in
+  match (str "name", str "type") with
+  | Some name, Some "counter" -> (
+      match int_ "value" with
+      | Some v -> Ok (name, Counter_v v)
+      | None -> Error "counter without integer \"value\"")
+  | Some name, Some "gauge" -> (
+      match int_ "value" with
+      | Some v -> Ok (name, Gauge_v v)
+      | None -> Error "gauge without integer \"value\"")
+  | Some name, Some "histogram" -> (
+      match (int_ "count", Option.bind (Json.member "sum" j) Json.to_float) with
+      | Some count, Some sum -> Ok (name, Histogram_v { count; sum })
+      | _ -> Error "histogram without count/sum")
+  | Some _, Some other -> Error (Printf.sprintf "unknown metric type %S" other)
+  | _ -> Error "metric without name/type"
 
 let sorted_bindings t =
   Mutex.lock t.mu;
@@ -178,24 +169,20 @@ let sorted_bindings t =
   Mutex.unlock t.mu;
   List.sort (fun (a, _) (b, _) -> String.compare a b) bindings
 
-type view =
-  | Counter_v of int
-  | Gauge_v of int
-  | Histogram_v of { count : int; sum : float }
+let bindings t = List.map (fun (name, i) -> (name, view_of i)) (sorted_bindings t)
 
-let bindings t =
-  List.map
-    (fun (name, i) ->
-      ( name,
-        match i with
-        | C c -> Counter_v (Counter.value c)
-        | G g -> Gauge_v (Gauge.value g)
-        | H h -> Histogram_v { count = Histogram.count h; sum = Histogram.sum h }
-      ))
-    (sorted_bindings t)
+let render_line (name, i) =
+  let buckets =
+    match i with
+    | C _ | G _ -> []
+    | H h ->
+        let counts = Histogram.counts h and buckets = ref [] in
+        for i = Histogram.num_buckets - 1 downto 0 do
+          if counts.(i) > 0 then
+            buckets := Json.List [ Json.Int i; Json.Int counts.(i) ] :: !buckets
+        done;
+        [ ("buckets", Json.List !buckets) ]
+  in
+  Json.to_string (Json.Obj (view_fields (name, view_of i) @ buckets)) ^ "\n"
 
-let render_jsonl t =
-  String.concat ""
-    (List.map
-       (fun (name, i) -> render_line name i ^ "\n")
-       (sorted_bindings t))
+let render_jsonl t = String.concat "" (List.map render_line (sorted_bindings t))

@@ -9,19 +9,14 @@
     integral and small enough to add exactly, which is the case for the
     virtual-clock durations the test harness pins.
 
-    {b No-op sink.}  {!noop} builds a registry whose instruments discard
-    every record: instrumented code can keep a registry handle
-    unconditionally and still cost nothing when observability is off.
-    The bench harness guards this with [bench --obs-guard]. *)
+    Every registry records: code switches observability off by passing
+    no {!Obs.t} at all ([None]), never through a registry. *)
 
 module Counter : sig
   type t
 
   val make : unit -> t
-  (** A standalone (unregistered) live counter. *)
-
-  val noop : t
-  (** The shared discard-everything counter. *)
+  (** A standalone (unregistered) counter. *)
 
   val incr : t -> unit
 
@@ -35,7 +30,6 @@ module Gauge : sig
   type t
 
   val make : unit -> t
-  val noop : t
   val set : t -> int -> unit
 
   val record_max : t -> int -> unit
@@ -63,7 +57,6 @@ module Histogram : sig
   (** Inclusive lower edge of a bucket ([neg_infinity] for bucket 0). *)
 
   val make : unit -> t
-  val noop : t
 
   val observe : t -> float -> unit
   (** Record one value (mutex-protected; safe from multiple domains). *)
@@ -84,12 +77,6 @@ type t
 
 val create : unit -> t
 
-val noop : unit -> t
-(** A registry whose instruments are all no-ops (nothing is stored and
-    {!render_jsonl} is empty). *)
-
-val is_live : t -> bool
-
 val counter : t -> string -> Counter.t
 (** Get or create.  @raise Invalid_argument if the name is already bound
     to a different instrument kind. *)
@@ -106,6 +93,17 @@ type view =
 val bindings : t -> (string * view) list
 (** Current instruments with their values, sorted by name. *)
 
+val view_to_json : string * view -> Json.t
+(** The one metric object, shared by the {!render_jsonl} lines and the
+    serve [stats] reply:
+    [{"name":N,"type":"counter"|"gauge","value":V}] or
+    [{"name":N,"type":"histogram","count":C,"sum":S}], where an integral
+    sum prints without a fraction ([2000], not [2000.0]). *)
+
+val view_of_json : Json.t -> (string * view, string) result
+(** The inverse of {!view_to_json}; extra fields such as [buckets] are
+    ignored. *)
+
 val render_jsonl : t -> string
 (** One JSON object per line, sorted by metric name (byte-deterministic
     given deterministic instrument contents):
@@ -113,5 +111,5 @@ val render_jsonl : t -> string
 {"name":"engine.jobs","type":"counter","value":3}
 {"name":"pool.task.duration_ns","type":"histogram","count":2,"sum":2000,"buckets":[[11,2]]}
     v}
-    Histogram [buckets] lists [[index, count]] pairs for non-empty
-    buckets only. *)
+    Each line is the {!view_to_json} object; a histogram's line adds
+    [buckets], the [[index, count]] pairs of its non-empty buckets. *)

@@ -12,9 +12,6 @@ let create ?(tracing = false) ?clock () =
     clock;
   }
 
-let noop () =
-  { metrics = Metric.noop (); trace = None; clock = Clock.monotonic () }
-
 let fork t i =
   let clock = Clock.fork t.clock i in
   {

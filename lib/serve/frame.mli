@@ -5,12 +5,10 @@
     line endings are tolerated and a final unterminated line before EOF
     still counts as a line. *)
 
-val default_max_line : int
-(** 16 MiB. *)
-
 type reader
 
 val reader : ?max_line:int -> Unix.file_descr -> reader
+(** [max_line] is the per-line guard in bytes (default 16 MiB). *)
 
 type read_result =
   | Line of string  (** next frame, newline stripped *)

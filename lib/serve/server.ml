@@ -57,7 +57,6 @@ type config = {
   endpoints : endpoint list;
   queue_capacity : int;
   session_window : int;
-  max_line : int;
   record : string option;
 }
 
@@ -66,7 +65,6 @@ let default_config =
     endpoints = [];
     queue_capacity = 256;
     session_window = 32;
-    max_line = Frame.default_max_line;
     record = None;
   }
 
@@ -155,7 +153,7 @@ let reader_exited t =
 (* ------------------------------------------------------------------ *)
 
 let reader_loop t s =
-  let r = Frame.reader ~max_line:t.cfg.max_line s.fd in
+  let r = Frame.reader s.fd in
   let rec loop () =
     (* The drain check sits before the read, never between a read and
        its push: a line already read is still admitted and answered. *)

@@ -29,7 +29,6 @@ type config = {
   endpoints : endpoint list;  (** at least one *)
   queue_capacity : int;  (** global admission bound, default 256 *)
   session_window : int;  (** per-session in-flight bound, default 32 *)
-  max_line : int;  (** framing guard, default {!Frame.default_max_line} *)
   record : string option;  (** [.session] transcript path *)
 }
 

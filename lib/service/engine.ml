@@ -5,6 +5,7 @@ module Lru = Relpipe_util.Lru
 module Analysis = Relpipe_analysis.Analysis
 module Diagnostic = Relpipe_analysis.Diagnostic
 module Obs = Relpipe_obs.Obs
+module Metric = Relpipe_obs.Metric
 module Pool = Relpipe_pool.Pool
 
 (* A cache entry is the representative's full solve outcome plus the
@@ -19,36 +20,20 @@ type t = {
   eff_workers : int;
   exact_budget : int;
   cache : entry Lru.Sharded.t;
-  obs : Obs.t option;
-  mutable n_requests : int;
-  mutable n_solved : int;
-  mutable n_infeasible : int;
-  mutable n_failed : int;
-  mutable n_jobs : int;
-  mutable n_shared : int;
+  obs : Obs.t;
 }
 
 let create ?obs ?workers ?(cap_to_cpus = true) ?(cache_capacity = 1024)
     ?(cache_shards = 1) ?(exact_budget = 200_000) () =
   let requested = match workers with Some w -> w | None -> Pool.cpu_count () in
-  let cache =
-    match obs with
-    | Some o ->
-        Lru.Sharded.create_in ~metrics:o.Obs.metrics ~name:"engine.cache"
-          ~shards:cache_shards ~capacity:cache_capacity
-    | None -> Lru.Sharded.create ~shards:cache_shards ~capacity:cache_capacity
-  in
+  let obs = match obs with Some o -> o | None -> Obs.create () in
   {
     eff_workers = Pool.effective_workers ~cap:cap_to_cpus requested;
     exact_budget;
-    cache;
+    cache =
+      Lru.Sharded.create_in ~metrics:obs.Obs.metrics ~name:"engine.cache"
+        ~shards:cache_shards ~capacity:cache_capacity;
     obs;
-    n_requests = 0;
-    n_solved = 0;
-    n_infeasible = 0;
-    n_failed = 0;
-    n_jobs = 0;
-    n_shared = 0;
   }
 
 let workers t = t.eff_workers
@@ -154,10 +139,11 @@ let outcome_of_entry (r : ready) entry =
       end
 
 let run_batch t reqs =
+  let obs = Some t.obs in
   let n_reqs = Array.length reqs in
-  Obs.add t.obs "engine.requests" n_reqs;
+  Obs.add obs "engine.requests" n_reqs;
   let prepared =
-    Obs.span t.obs
+    Obs.span obs
       ~attrs:[ ("requests", string_of_int n_reqs) ]
       "engine.phase.prepare"
       (fun () -> Array.map (prepare t) reqs)
@@ -167,7 +153,7 @@ let run_batch t reqs =
   let jobs = ref [] and num_jobs = ref 0 in
   let pending = Hashtbl.create 64 in
   let plan =
-    Obs.span t.obs "engine.phase.plan" (fun () ->
+    Obs.span obs "engine.phase.plan" (fun () ->
         Array.map
           (fun p ->
             match p with
@@ -179,8 +165,7 @@ let run_batch t reqs =
                 | None -> (
                     match Hashtbl.find_opt pending key with
                     | Some j ->
-                        t.n_shared <- t.n_shared + 1;
-                        Obs.incr t.obs "engine.shared";
+                        Obs.incr obs "engine.shared";
                         Shared_job (r, j)
                     | None ->
                         let j = !num_jobs in
@@ -191,7 +176,7 @@ let run_batch t reqs =
           prepared)
   in
   let jobs = Array.of_list (List.rev !jobs) in
-  Obs.add t.obs "engine.jobs" (Array.length jobs);
+  Obs.add obs "engine.jobs" (Array.length jobs);
   (* Solve phase: the only parallel part; each job is a pure function of
      its own request — except for its observability context, which is a
      per-job fork (shared atomic counters, private tracer on a forked
@@ -199,40 +184,33 @@ let run_batch t reqs =
      identical across worker counts. *)
   let children = Array.make (Array.length jobs) None in
   let solve_one (j, r) =
-    match t.obs with
-    | None -> solve_job r
-    | Some o ->
-        let child = Obs.fork o j in
-        (* slot j is written only by job j's worker and read after Pool.map
-           returns, which joins its domains *)
-        (* devlint: allow RP-S301 *)
-        children.(j) <- Some child;
-        Obs.with_ambient (Some child) (fun () ->
-            Obs.span (Some child)
-              ~attrs:[ ("job", string_of_int j) ]
-              "engine.job"
-              (fun () -> solve_job r))
+    let child = Obs.fork t.obs j in
+    (* slot j is written only by job j's worker and read after Pool.map
+       returns, which joins its domains *)
+    (* devlint: allow RP-S301 *)
+    children.(j) <- Some child;
+    Obs.with_ambient (Some child) (fun () ->
+        Obs.span (Some child)
+          ~attrs:[ ("job", string_of_int j) ]
+          "engine.job"
+          (fun () -> solve_job r))
   in
   let outcomes =
-    Obs.span t.obs
+    Obs.span obs
       ~attrs:[ ("jobs", string_of_int (Array.length jobs)) ]
       "engine.phase.solve"
       (fun () ->
         let outcomes, _pool_stats =
-          Pool.map ?obs:t.obs ~workers:t.eff_workers solve_one
+          Pool.map ?obs ~workers:t.eff_workers solve_one
             (Array.mapi (fun j r -> (j, r)) jobs)
         in
-        (match t.obs with
-        | Some o ->
-            Array.iter
-              (function
-                | Some child -> Obs.merge_child ~into:o child | None -> ())
-              children
-        | None -> ());
+        Array.iter
+          (function
+            | Some child -> Obs.merge_child ~into:t.obs child | None -> ())
+          children;
         outcomes)
   in
-  t.n_jobs <- t.n_jobs + Array.length jobs;
-  Obs.span t.obs "engine.phase.emit" (fun () ->
+  Obs.span obs "engine.phase.emit" (fun () ->
       (* Populate the cache in job order (deterministic). *)
       let entries =
         Array.mapi
@@ -247,7 +225,6 @@ let run_batch t reqs =
       (* Emit phase: responses in submission order. *)
       Array.mapi
         (fun i p ->
-          t.n_requests <- t.n_requests + 1;
           let r_id, r_cache, r_outcome =
             match p with
             | Answer_bad (id, msg) -> (id, Protocol.Miss, Protocol.Failed msg)
@@ -259,16 +236,10 @@ let run_batch t reqs =
                 (r.rq.Protocol.id, Protocol.Hit, outcome_of_entry r entry)
           in
           (match r_outcome with
-          | Protocol.Solved _ ->
-              t.n_solved <- t.n_solved + 1;
-              Obs.incr t.obs "engine.solved"
-          | Protocol.Infeasible ->
-              t.n_infeasible <- t.n_infeasible + 1;
-              Obs.incr t.obs "engine.infeasible"
-          | Protocol.Failed _ ->
-              t.n_failed <- t.n_failed + 1;
-              Obs.incr t.obs "engine.failed");
-          Obs.instant t.obs "engine.request"
+          | Protocol.Solved _ -> Obs.incr obs "engine.solved"
+          | Protocol.Infeasible -> Obs.incr obs "engine.infeasible"
+          | Protocol.Failed _ -> Obs.incr obs "engine.failed");
+          Obs.instant obs "engine.request"
             ~attrs:
               [
                 ("index", string_of_int i);
@@ -321,14 +292,22 @@ type stats = {
   effective_workers : int;
 }
 
+(* Read from the engine's registry without registering a name the
+   engine has not recorded yet (an absent counter is 0). *)
 let stats t =
+  let views = Metric.bindings t.obs.Obs.metrics in
+  let count name =
+    match List.assoc_opt ("engine." ^ name) views with
+    | Some (Metric.Counter_v n) -> n
+    | Some (Metric.Gauge_v _ | Metric.Histogram_v _) | None -> 0
+  in
   {
-    requests = t.n_requests;
-    solved = t.n_solved;
-    infeasible = t.n_infeasible;
-    failed = t.n_failed;
-    jobs = t.n_jobs;
-    shared = t.n_shared;
+    requests = count "requests";
+    solved = count "solved";
+    infeasible = count "infeasible";
+    failed = count "failed";
+    jobs = count "jobs";
+    shared = count "shared";
     cache = Lru.Sharded.stats t.cache;
     cache_len = Lru.Sharded.length t.cache;
     cache_capacity = Lru.Sharded.capacity t.cache;

@@ -45,12 +45,14 @@ val create :
     single-cache behaviour; [exact_budget] (default [200_000]) is used
     when a request carries none.
 
-    With [obs], the engine records phase spans
+    The engine always records, into [obs] or, when given none, into a
+    registry of its own: counters
+    [engine.requests/solved/infeasible/failed/jobs/shared], the LRU's
+    [engine.cache.hits/misses/evictions] (the counters {!stats} reads)
+    and the solver kernels' metrics; when [obs] traces, also phase spans
     ([engine.phase.prepare/plan/solve/emit]), one [engine.job] span per
-    solver run (on a per-job forked clock, merged back in job order), a
-    per-response [engine.request] instant, counters
-    [engine.requests/solved/infeasible/failed/jobs/shared] and the LRU's
-    [engine.cache.hits/misses/evictions].  Instrumentation never changes
+    solver run (on a per-job forked clock, merged back in job order) and
+    a per-response [engine.request] instant.  Instrumentation never changes
     responses, and under a virtual clock the recorded trace and metric
     snapshots are byte-identical for every worker count. *)
 
@@ -108,6 +110,7 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Read from the engine's registry (an unrecorded counter is [0]). *)
 
 val hit_rate : stats -> float
 (** [(cache.hits + shared) / requests], [0.] on an empty engine — the

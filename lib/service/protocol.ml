@@ -23,26 +23,13 @@ let method_names =
     ("exact", Solver.Exact_enum);
     ("polynomial", Solver.Polynomial);
     ("portfolio", Solver.Portfolio);
-    ("single-greedy", Solver.Heuristic Heuristics.Single_greedy);
-    ("split-replicate", Solver.Heuristic Heuristics.Split_replicate);
-    ("local-search", Solver.Heuristic Heuristics.Local_search);
-    ("annealing", Solver.Heuristic Heuristics.Annealing);
-    ("iterated-ls", Solver.Heuristic Heuristics.Iterated);
   ]
+  @ List.map
+      (fun h -> (Heuristics.name_to_string h, Solver.Heuristic h))
+      Heuristics.all_names
 
 let method_to_string m =
-  match m with
-  | Solver.Auto -> "auto"
-  | Solver.Exact_enum -> "exact"
-  | Solver.Polynomial -> "polynomial"
-  | Solver.Portfolio -> "portfolio"
-  | Solver.Heuristic h -> (
-      match h with
-      | Heuristics.Single_greedy -> "single-greedy"
-      | Heuristics.Split_replicate -> "split-replicate"
-      | Heuristics.Local_search -> "local-search"
-      | Heuristics.Annealing -> "annealing"
-      | Heuristics.Iterated -> "iterated-ls")
+  fst (List.find (fun (_, m') -> m' = m) method_names)
 
 let method_of_string s =
   match List.assoc_opt s method_names with
@@ -168,17 +155,7 @@ type response = {
   r_outcome : outcome;
 }
 
-let mapping_to_syntax mapping =
-  String.concat "; "
-    (List.map
-       (fun iv ->
-         let range =
-           if iv.Mapping.first = iv.Mapping.last then
-             string_of_int iv.Mapping.first
-           else Printf.sprintf "%d-%d" iv.Mapping.first iv.Mapping.last
-         in
-         range ^ ":" ^ String.concat "," (List.map string_of_int iv.Mapping.procs))
-       (Mapping.intervals mapping))
+let mapping_to_syntax = Mapping_syntax.to_string
 
 let encode_response r =
   let fields =
@@ -345,21 +322,6 @@ type control_reply =
   | Shutdown_ok of { draining : bool }
   | Refused of server_error
 
-let metric_to_json (name, view) =
-  let module M = Relpipe_obs.Metric in
-  Json.Obj
-    (("name", Json.Str name)
-    ::
-    (match view with
-    | M.Counter_v v -> [ ("kind", Json.Str "counter"); ("value", Json.Int v) ]
-    | M.Gauge_v v -> [ ("kind", Json.Str "gauge"); ("value", Json.Int v) ]
-    | M.Histogram_v { count; sum } ->
-        [
-          ("kind", Json.Str "histogram");
-          ("count", Json.Int count);
-          ("sum", Json.float sum);
-        ]))
-
 let encode_control_reply r =
   let obj fields = Json.to_string (Json.Obj (("v", Json.Int version) :: fields)) in
   match r with
@@ -373,7 +335,7 @@ let encode_control_reply r =
       obj
         [
           ("op", Json.Str "stats"); ("ok", Json.Bool true);
-          ("metrics", Json.List (List.map metric_to_json metrics));
+          ("metrics", Json.List (List.map Relpipe_obs.Metric.view_to_json metrics));
         ]
   | Shutdown_ok { draining } ->
       obj
@@ -409,37 +371,15 @@ let decode_control_reply line =
       | Some protocol -> Ok (Hello_ok { protocol })
       | None -> Error "hello reply: missing integer \"protocol\"")
   | Some "stats" -> (
-      let module M = Relpipe_obs.Metric in
-      let metric_of_json m =
-        let mstr name = Option.bind (Json.member name m) Json.to_str in
-        let mint name = Option.bind (Json.member name m) Json.to_int in
-        match (mstr "name", mstr "kind") with
-        | Some name, Some "counter" -> (
-            match mint "value" with
-            | Some v -> Ok (name, M.Counter_v v)
-            | None -> Error "stats reply: counter without integer \"value\"")
-        | Some name, Some "gauge" -> (
-            match mint "value" with
-            | Some v -> Ok (name, M.Gauge_v v)
-            | None -> Error "stats reply: gauge without integer \"value\"")
-        | Some name, Some "histogram" -> (
-            match (mint "count", Option.bind (Json.member "sum" m) Json.to_float)
-            with
-            | Some count, Some sum -> Ok (name, M.Histogram_v { count; sum })
-            | _ -> Error "stats reply: histogram without count/sum")
-        | Some _, Some other ->
-            Error (Printf.sprintf "stats reply: unknown metric kind %S" other)
-        | _ -> Error "stats reply: metric without name/kind"
-      in
       match Option.bind (Json.member "metrics" j) Json.to_list with
       | None -> Error "stats reply: missing \"metrics\" list"
       | Some items ->
           let rec go acc = function
             | [] -> Ok (Stats_ok (List.rev acc))
             | m :: rest -> (
-                match metric_of_json m with
+                match Relpipe_obs.Metric.view_of_json m with
                 | Ok binding -> go (binding :: acc) rest
-                | Error e -> Error e)
+                | Error e -> Error ("stats reply: " ^ e))
           in
           go [] items)
   | Some "shutdown" -> (

@@ -87,7 +87,8 @@ type response = {
 }
 
 val mapping_to_syntax : Mapping.t -> string
-(** ["1-2:0,1; 3:2"] — parses back with {!Relpipe_model.Mapping_syntax}. *)
+(** ["1-2:0,1; 3:2"]: {!Relpipe_model.Mapping_syntax.to_string}, which
+    parses back. *)
 
 val encode_response : response -> string
 
@@ -106,7 +107,9 @@ val decode_response : string -> (response, string) result
       [{"v":1,"op":"hello","ok":true,"protocol":1}], else it refuses
       with a typed [version-mismatch] error.
     - [{"v":1,"op":"stats"}] — answered with the server's live metric
-      registry, [{"v":1,"op":"stats","ok":true,"metrics":[...]}].
+      registry, [{"v":1,"op":"stats","ok":true,"metrics":[...]}]; each
+      metric is the {!Relpipe_obs.Metric.view_to_json} object, the
+      [--metrics] line without its [buckets].
     - [{"v":1,"op":"shutdown"}] — asks the server to drain; answered
       [{"v":1,"op":"shutdown","ok":true,"draining":true}].
 

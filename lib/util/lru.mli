@@ -27,8 +27,7 @@ val create_in :
 (** Like {!create}, but the counters live on [metrics] under
     [<name>.hits], [<name>.misses] and [<name>.evictions] — so cache
     effectiveness shows up in metric snapshots alongside everything
-    else.  If [metrics] is a no-op registry the counters discard their
-    updates and {!stats} reports zeros. *)
+    else. *)
 
 val capacity : 'v t -> int
 

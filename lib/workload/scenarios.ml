@@ -45,9 +45,10 @@ let fig5_split () =
       { Mapping.first = 2; last = 2; procs = List.init 10 (fun i -> i + 1) };
     ]
 
-let video_transcoder ?(frame_size = 64.0) () =
+let video_transcoder () =
   (* Relative costs: decoding inflates compressed input ~8x to raw frames,
      encoding dominates computation and compresses ~10x. *)
+  let frame_size = 64.0 in
   Pipeline.of_costs ~input:frame_size
     [
       (0.2 *. frame_size, frame_size);          (* demux *)
@@ -57,7 +58,8 @@ let video_transcoder ?(frame_size = 64.0) () =
       (0.3 *. frame_size, 0.8 *. frame_size);   (* mux *)
     ]
 
-let sensor_fusion ?(sample_rate = 100.0) () =
+let sensor_fusion () =
+  let sample_rate = 100.0 in
   Pipeline.of_costs ~input:sample_rate
     [
       (0.5 *. sample_rate, sample_rate);          (* ingest *)

@@ -45,13 +45,15 @@ val fig5_split : unit -> Mapping.t
     Pipelines in the spirit of the paper's motivating digital-media
     workflows, for examples and experiments beyond the worked examples. *)
 
-val video_transcoder : ?frame_size:float -> unit -> Pipeline.t
-(** Five-stage transcoder: demux, decode (data inflates to raw frames),
-    scale, encode (computationally dominant, compresses), mux. *)
+val video_transcoder : unit -> Pipeline.t
+(** Five-stage transcoder over 64-unit frames: demux, decode (data
+    inflates to raw frames), scale, encode (computationally dominant,
+    compresses), mux. *)
 
-val sensor_fusion : ?sample_rate:float -> unit -> Pipeline.t
-(** Six-stage streaming analytics chain: ingest, clean, align, fuse
-    (dominant), detect, publish — data shrinks monotonically. *)
+val sensor_fusion : unit -> Pipeline.t
+(** Six-stage streaming analytics chain at 100 samples: ingest, clean,
+    align, fuse (dominant), detect, publish — data shrinks
+    monotonically. *)
 
 val grid_instance : Relpipe_util.Rng.t -> Instance.t
 (** The {!Plat_gen.clustered} platform (3 clusters of 4) under the

@@ -146,7 +146,7 @@ let reply_pins =
           ("g", Metric.Gauge_v 7);
           ("h", Metric.Histogram_v { count = 2; sum = 2.5 });
         ],
-      {|{"v":1,"op":"stats","ok":true,"metrics":[{"name":"c","kind":"counter","value":3},{"name":"g","kind":"gauge","value":7},{"name":"h","kind":"histogram","count":2,"sum":2.5}]}|}
+      {|{"v":1,"op":"stats","ok":true,"metrics":[{"name":"c","type":"counter","value":3},{"name":"g","type":"gauge","value":7},{"name":"h","type":"histogram","count":2,"sum":2.5}]}|}
     );
     ( Protocol.Refused (Protocol.Version_mismatch { offered = [ 2; 3 ] }),
       {|{"v":1,"op":"error","ok":false,"code":"version-mismatch","offered":[2,3],"error":"no common protocol version: server speaks 1, client offered 2, 3"}|}
@@ -175,6 +175,49 @@ let test_control_reply_roundtrip () =
       | Ok reply ->
           check_str "re-encode" line (Protocol.encode_control_reply reply))
     reply_pins
+
+(* One registry rendered both ways: every metric object of a stats reply
+   is, byte for byte, the matching --metrics line without its buckets. *)
+let test_stats_reply_matches_metrics_lines () =
+  let module Json = Relpipe_obs.Json in
+  let reg = Metric.create () in
+  Metric.Counter.add (Metric.counter reg "serve.c") 3;
+  Metric.Gauge.set (Metric.gauge reg "serve.g") 7;
+  List.iter
+    (Metric.Histogram.observe (Metric.histogram reg "serve.h_integral"))
+    [ 1000.0; 1000.0 ];
+  List.iter
+    (Metric.Histogram.observe (Metric.histogram reg "serve.h_fractional"))
+    [ 1.25; 1.5 ];
+  let parse line =
+    match Json.parse line with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%S does not parse: %s" line e
+  in
+  let reply =
+    parse
+      (Protocol.encode_control_reply (Protocol.Stats_ok (Metric.bindings reg)))
+  in
+  let in_reply =
+    match Option.bind (Json.member "metrics" reply) Json.to_list with
+    | Some objects -> List.map Json.to_string objects
+    | None -> Alcotest.fail "stats reply has no metrics list"
+  in
+  let without_buckets line =
+    match parse line with
+    | Json.Obj fields ->
+        Json.to_string
+          (Json.Obj (List.filter (fun (k, _) -> not (String.equal k "buckets")) fields))
+    | _ -> Alcotest.failf "%S is not an object" line
+  in
+  let in_file =
+    List.filter_map
+      (fun line -> if String.equal line "" then None else Some (without_buckets line))
+      (String.split_on_char '\n' (Metric.render_jsonl reg))
+  in
+  check_int "four metrics" 4 (List.length in_file);
+  Alcotest.(check (list string)) "stats objects = --metrics lines without buckets"
+    in_file in_reply
 
 let test_decode_inbound () =
   (match Protocol.decode_inbound {|{"v":1,"op":"stats"}|} with
@@ -626,6 +669,8 @@ let () =
           test "control replies encode to pinned bytes"
             test_control_reply_bytes;
           test "control replies round-trip" test_control_reply_roundtrip;
+          test "stats objects are the --metrics lines without buckets"
+            test_stats_reply_matches_metrics_lines;
           test "inbound classification" test_decode_inbound;
           test "inbound solve lines decode like decode_request"
             test_inbound_matches_decode_request;

@@ -120,7 +120,25 @@ let test_json_malformed () =
           Alcotest.(check bool)
             "error cites an offset" true
             (String.length e >= 7 && String.sub e 0 7 = "offset "))
-    [ "{"; "[1,]"; "{\"a\":}"; "1 2"; "\"\\q\""; "nul"; ""; "{\"a\" 1}" ]
+    [
+      "{"; "[1,]"; "{\"a\":}"; "1 2"; "\"\\q\""; "nul"; ""; "{\"a\" 1}";
+      (* RFC 8259 sections 6 and 7: no leading zero, a digit after every
+         point, no raw byte 0x00-0x1f inside a string *)
+      "007"; "-01"; "01.5"; "[0,00]"; "1."; "1.e5"; "-1.]"; "\"a\tb\"";
+      "\"a\nb\""; "\"\000\""; "{\"k\x1f\":1}";
+    ]
+
+(* The strict parser still takes every RFC 8259 number form. *)
+let test_json_number_forms () =
+  List.iter
+    (fun (input, expected) ->
+      match Json.parse input with
+      | Ok j -> check_str input expected (Json.to_string j)
+      | Error e -> Alcotest.failf "refused %S: %s" input e)
+    [
+      ("0", "0"); ("-0", "-0.0"); ("10", "10"); ("0.5", "0.5");
+      ("-2.5e-1", "-0.25"); ("1E+2", "100.0"); ("0e0", "0.0");
+    ]
 
 let test_json_non_finite () =
   let back x =
@@ -210,6 +228,10 @@ let test_protocol_malformed () =
       {|{"v":1,"instance":"x","objective":{"minimize":"both"}}|};
       {|{"v":1,"instance":"x","objective":{"minimize":"failure","max_latency":1},"method":"quantum"}|};
       {|{"v":1,"instance":"x","instance_file":"y","objective":{"minimize":"failure","max_latency":1}}|};
+      (* not JSON: a leading zero, a bare point, a raw tab in a string *)
+      {|{"v":1,"instance":"x","objective":{"minimize":"failure","max_latency":1},"budget":007}|};
+      {|{"v":1,"instance":"x","objective":{"minimize":"failure","max_latency":1.}}|};
+      "{\"v\":1,\"instance\":\"x\ty\",\"objective\":{\"minimize\":\"failure\",\"max_latency\":1}}";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -568,6 +590,7 @@ let () =
           test "round trip" test_json_round_trip;
           test "unicode escapes" test_json_unicode;
           test "malformed inputs" test_json_malformed;
+          test "every RFC 8259 number form parses" test_json_number_forms;
           test "non-finite floats" test_json_non_finite;
         ] );
       ( "protocol",

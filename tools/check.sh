@@ -64,6 +64,24 @@ for f in examples/requests/*.jsonl; do
   "$relpipe" batch "$f" -o /dev/null
 done
 
+echo "== relpipe batch: lines outside RFC 8259 get error replies =="
+# A number with a leading zero and a raw tab inside a string are not
+# JSON, so each such request line is answered with a per-line error,
+# never solved.
+tab=$(printf '\t')
+rest='stage 2 1\nproc 2 0.1\nlink default 2\n'
+objective='"objective":{"minimize":"failure","max_latency":10}'
+printf '%s\n' \
+  "{\"v\":1,\"instance\":\"input 1\\n$rest\",$objective,\"budget\":007}" \
+  "{\"v\":1,\"instance\":\"input${tab}1\\n$rest\",$objective}" \
+  > "$tmp/strict.jsonl"
+"$relpipe" batch "$tmp/strict.jsonl" -o "$tmp/strict.out"
+if [ "$(grep -c '"status":"error"' "$tmp/strict.out")" -ne 2 ]; then
+  echo "check.sh: batch answered a line that is not JSON" >&2
+  cat "$tmp/strict.out" >&2
+  exit 1
+fi
+
 echo "== relpipe atlas: streaming smoke (10^4 requests, workers 4 vs 1) =="
 # A 10^4-request Zipf/bursty stream aggregated online must produce a
 # byte-identical report at 4 (oversubscribed) workers and at 1 worker
@@ -131,6 +149,14 @@ wait "$c1_pid" && wait "$c2_pid" || {
 "$relpipe" call --unix "$sock" --op stats > "$tmp/stats.out"
 grep -q '"name":"serve.requests"' "$tmp/stats.out" || {
   echo "check.sh: stats reply is missing the serve namespace" >&2; exit 1; }
+# A stats metric object is the --metrics object without buckets.
+grep -q '"name":"engine.requests","type":"counter"' "$tmp/stats.out" || {
+  echo "check.sh: stats reply does not use the --metrics metric object" >&2
+  exit 1; }
+if grep -q '"kind"' "$tmp/stats.out"; then
+  echo "check.sh: stats reply writes \"kind\", not the --metrics \"type\"" >&2
+  exit 1
+fi
 # SIGTERM drain while a third client is mid-stream: once its handshake
 # is in the (per-tick-flushed) recording, signal the daemon, and require
 # one reply per admitted line — the recording is the ground truth.
