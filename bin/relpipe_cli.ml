@@ -142,8 +142,7 @@ let print_solution inst (s : Solution.t) =
   Format.printf "class:    %s@." (Solver.describe inst)
 
 (* The refusals the solvers raise for inputs they cannot handle: an
-   argument outside their domain, and an exact enumeration over its
-   budget. *)
+   argument outside their domain, and an exact search over its budget. *)
 let guarded run =
   try run ()
   with Invalid_argument msg | Exact.Too_large msg -> `Error (false, msg)
@@ -522,8 +521,7 @@ let tri_cmd =
     guarded @@ fun () ->
     let constraints = { Tri.max_latency; max_period } in
     let solve =
-      if exact then Tri.exact_min_failure ?budget:None
-      else Tri.greedy_min_failure
+      if exact then Tri.exact_min_failure else Tri.greedy_min_failure
     in
     (match solve inst constraints with
     | None ->

@@ -1,7 +1,6 @@
 open Relpipe_model
 module B = Relpipe_util.Bitset
 module C = Relpipe_util.Combin
-module Obs = Relpipe_obs.Obs
 
 exception Too_large of string
 
@@ -24,29 +23,56 @@ let iter_mappings ~n ~m f =
           (C.disjoint_assignments pool p))
     (C.compositions n)
 
-let count_mappings ~n ~m () =
-  let count = ref 0 in
-  iter_mappings ~n ~m (fun _ -> incr count);
-  !count
+(* Saturating arithmetic on counts: [max_int] reads as "at least
+   max_int", so a space too large to count still exceeds every budget. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
 
-let solve ?(budget = 5_000_000) instance objective =
+(* A mapping with p intervals is one of the C(n-1, p-1) compositions of
+   the stages times one of the p! S(m+1, p+1) tuples of p disjoint
+   non-empty processor sets: add a marker for "unused" to the m
+   processors, split the m+1 elements into p+1 blocks, and order the p
+   blocks without the marker. *)
+let count_mappings ~n ~m () =
+  (* Row i of the Stirling triangle, updated in place: s.(k) = S(i, k),
+     from row 1 (S(1, 1) = 1, S(i, 0) = 0 for i >= 1). *)
+  let s = Array.make (m + 2) 0 in
+  s.(1) <- 1;
+  for i = 2 to m + 1 do
+    for k = i downto 1 do
+      s.(k) <- sat_add (sat_mul k s.(k)) s.(k - 1)
+    done
+  done;
+  let total = ref 0 and binom = ref 1 and fact = ref 1 in
+  for p = 1 to min n m do
+    fact := sat_mul !fact p;
+    total := sat_add !total (sat_mul !binom (sat_mul !fact s.(p + 1)));
+    (* C(n-1, p) from C(n-1, p-1); exact until it saturates, and from
+       then on the next term, hence the total, is saturated too. *)
+    binom := sat_mul !binom (n - p) / p
+  done;
+  !total
+
+let max_mappings = 5_000_000
+
+let within_budget ~budget ~n ~m =
+  if m > B.max_width then invalid_arg "Exact.iter_mappings: too many processors";
+  count_mappings ~n ~m () <= budget
+
+let check_budget ~budget ~n ~m =
+  if not (within_budget ~budget ~n ~m) then
+    Printf.ksprintf (fun msg -> raise (Too_large msg))
+      "Exact.solve: more than %d mappings (n=%d m=%d)" budget n m
+
+let solve instance objective =
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in
+  check_budget ~budget:max_mappings ~n ~m;
   let best = ref None in
-  let seen = ref 0 in
   iter_mappings ~n ~m (fun mapping ->
-      incr seen;
-      if !seen > budget then
-        raise
-          (Too_large
-             (Printf.sprintf "Exact.solve: more than %d mappings (n=%d m=%d)"
-                budget n m));
       let s = Solution.of_mapping instance mapping in
       if Instance.feasible objective s.Solution.evaluation then
         best := Solution.best objective !best (Some s));
-  let obs = Obs.ambient () in
-  Obs.incr obs "core.exact.solves";
-  Obs.add obs "core.exact.mappings" !seen;
   !best
 
 let solve_single_interval instance objective =

@@ -50,24 +50,36 @@ let polynomial instance objective =
 let small_enough ~budget instance =
   let n = Pipeline.length instance.Instance.pipeline in
   let m = Platform.size instance.Instance.platform in
-  (* n, m <= 6 keeps the enumeration in the tens of thousands; the exact
+  (* n, m <= 6 keeps the space in the tens of thousands; the closed-form
      count confirms it is within budget. *)
-  n <= 6 && m <= 6 && Exact.count_mappings ~n ~m () <= budget
+  n <= 6 && m <= 6 && Exact.within_budget ~budget ~n ~m
 
 (* Auto's choice, shared by [auto] and [describe]. *)
-type leg = Algorithms_1_2 | Algorithms_3_4 | Enumeration | Portfolio_leg
+type leg = Algorithms_1_2 | Algorithms_3_4 | Exact_leg | Portfolio_leg
 
 let leg ~exact_budget instance =
   if Fully_homog.applicable instance then Algorithms_1_2
   else if Comm_homog.applicable instance then Algorithms_3_4
-  else if small_enough ~budget:exact_budget instance then Enumeration
+  else if small_enough ~budget:exact_budget instance then Exact_leg
   else Portfolio_leg
+
+(* The exact leg of Auto and of [Exact_enum]: refused before any work
+   when the mapping space exceeds [budget], else the branch and bound,
+   whose mapping is re-evaluated so that the reply carries
+   [Instance.evaluate]'s numbers, not the search's incremental ones. *)
+let exact ~budget instance objective =
+  let n = Pipeline.length instance.Instance.pipeline in
+  let m = Platform.size instance.Instance.platform in
+  Exact.check_budget ~budget ~n ~m;
+  Option.map
+    (fun s -> Solution.of_mapping instance s.Solution.mapping)
+    (Bb.solve instance objective)
 
 let auto ~exact_budget instance objective =
   match leg ~exact_budget instance with
   | Algorithms_1_2 -> Fully_homog.solve instance objective
   | Algorithms_3_4 -> Comm_homog.solve instance objective
-  | Enumeration -> Exact.solve ~budget:exact_budget instance objective
+  | Exact_leg -> exact ~budget:exact_budget instance objective
   | Portfolio_leg ->
       let portfolio = Heuristics.best_of instance objective in
       (* On Communication Homogeneous platforms the speed-contiguous solver
@@ -80,7 +92,7 @@ let auto ~exact_budget instance objective =
 let dispatch ~method_ ~exact_budget instance objective =
   match method_ with
   | Auto -> auto ~exact_budget instance objective
-  | Exact_enum -> Exact.solve ~budget:exact_budget instance objective
+  | Exact_enum -> exact ~budget:exact_budget instance objective
   | Polynomial -> polynomial instance objective
   | Heuristic name -> Heuristics.run name instance objective
   | Portfolio -> Heuristics.best_of instance objective
@@ -115,7 +127,7 @@ let describe instance =
     match leg ~exact_budget:default_exact_budget instance with
     | Algorithms_1_2 -> "Algorithms 1/2 (polynomial, optimal)"
     | Algorithms_3_4 -> "Algorithms 3/4 (polynomial, optimal)"
-    | Enumeration -> "exhaustive enumeration (instance is small)"
+    | Exact_leg -> "exhaustive branch and bound (instance is small)"
     | Portfolio_leg -> "heuristic portfolio (NP-hard/open case)"
   in
   Format.asprintf "%a, %a -> %s" Classify.pp_comm_class comm

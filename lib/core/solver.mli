@@ -8,8 +8,14 @@
     - Communication Homogeneous + Failure Homogeneous: Algorithms 3/4 —
       polynomial, optimal;
     - everything else (Comm. Homogeneous + Failure Heterogeneous — open;
-      Fully Heterogeneous — NP-hard): exhaustive search when the instance
-      is small enough, otherwise the heuristic portfolio.
+      Fully Heterogeneous — NP-hard): the exact leg when n, m <= 6 and
+      the mapping space ({!Exact.count_mappings}) is within the budget,
+      otherwise the heuristic portfolio.
+
+    The exact leg is {!Bb.solve}, refused before any work when the
+    mapping space exceeds the budget; its mapping is re-evaluated with
+    {!Instance.evaluate}, so the reply carries the same numbers as an
+    exhaustive search ({!Exact.solve}, the test oracle) would.
 
     Every entry point first runs the [Relpipe_analysis] instance pass at
     [Error] level; a malformed instance yields a typed {!error} (from
@@ -19,7 +25,7 @@ open Relpipe_model
 
 type method_ =
   | Auto  (** the dispatch described above *)
-  | Exact_enum  (** {!Exact.solve} regardless of size, within the budget *)
+  | Exact_enum  (** the exact leg at any size, within the budget *)
   | Polynomial  (** Algorithms 1-4; [Not_applicable] otherwise *)
   | Heuristic of Heuristics.name
   | Portfolio  (** {!Heuristics.best_of} *)
@@ -30,6 +36,10 @@ type error =
   | Invalid_objective of string  (** e.g. a NaN threshold *)
   | Not_applicable of string  (** [Polynomial] on an intractable class *)
   | Too_large of string  (** [Exact_enum] beyond its budget *)
+
+val default_exact_budget : int
+(** [200_000] mappings: the budget of {!run}, of a service request that
+    carries none, and of {!Validate}'s certificates. *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -47,9 +57,10 @@ val run :
   (Solution.t option, error) result
 (** Solve with a typed outcome.  [Ok None] means no feasible mapping was
     found (a definitive answer for the optimal methods, best effort for
-    heuristics).  [exact_budget] bounds the mapping enumeration Auto and
-    Exact_enum may attempt (default [200_000]); Exact_enum beyond it is
-    [Error (Too_large _)]. *)
+    heuristics).  [exact_budget] (default {!default_exact_budget}) bounds
+    the mapping space the exact leg may search, counted in closed form
+    before any work: Auto beyond it runs the portfolio, Exact_enum
+    beyond it is [Error (Too_large _)]. *)
 
 val solve :
   ?method_:method_ ->
@@ -59,7 +70,7 @@ val solve :
   Solution.t option
 (** Legacy exception-based wrapper over {!run}: raises [Invalid_argument]
     on invalid instances/objectives and inapplicable methods, and
-    {!Exact.Too_large} when the enumeration budget is exceeded. *)
+    {!Exact.Too_large} when the exact budget is exceeded. *)
 
 val describe : Instance.t -> string
 (** Human-readable platform classification and the method Auto would

@@ -18,15 +18,13 @@ let evaluate instance mapping =
 let feasible ?eps c e =
   F.leq ?eps e.latency c.max_latency && F.leq ?eps e.period c.max_period
 
-let exact_min_failure ?(budget = 5_000_000) instance constraints =
+let exact_min_failure instance constraints =
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in
+  if not (Exact.within_budget ~budget:Exact.max_mappings ~n ~m) then
+    raise (Exact.Too_large "Tri.exact_min_failure: over budget");
   let best = ref None in
-  let seen = ref 0 in
   Exact.iter_mappings ~n ~m (fun mapping ->
-      incr seen;
-      if !seen > budget then
-        raise (Exact.Too_large "Tri.exact_min_failure: over budget");
       let e = evaluate instance mapping in
       if feasible constraints e then begin
         match !best with

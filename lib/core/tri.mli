@@ -26,10 +26,10 @@ val evaluate : Instance.t -> Mapping.t -> evaluation
 
 val feasible : ?eps:float -> constraints -> evaluation -> bool
 
-val exact_min_failure :
-  ?budget:int -> Instance.t -> constraints -> solution option
-(** Exhaustive optimum (same enumeration and budget semantics as
-    {!Exact.solve}).  @raise Exact.Too_large when over budget. *)
+val exact_min_failure : Instance.t -> constraints -> solution option
+(** Exhaustive optimum over the space {!Exact.solve} walks.
+    @raise Exact.Too_large before enumerating when the space exceeds
+    {!Exact.max_mappings}. *)
 
 val greedy_min_failure : Instance.t -> constraints -> solution option
 (** Constructive heuristic: balanced interval splits seeded with the

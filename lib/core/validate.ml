@@ -12,28 +12,21 @@ type report = {
   diagnostics : Relpipe_analysis.Diagnostic.t list;
 }
 
-(* Branch-and-bound certifies intractable classes up to n * m = 36 (n, m
-   <= 6). *)
-let certify_budget = 36
-
+(* The reference optimum comes from Solver: Algorithms 1-4 where they
+   apply, else the exact leg within the default budget. *)
 let certify instance objective (s : Solution.t) =
   let reference =
-    if Fully_homog.applicable instance then Fully_homog.solve instance objective
-    else if Comm_homog.applicable instance then Comm_homog.solve instance objective
-    else begin
-      let n = Pipeline.length instance.Instance.pipeline in
-      let m = Platform.size instance.Instance.platform in
-      if n * m <= certify_budget then
-        Bb.solve instance objective
-      else None
-    end
+    match Solver.run ~method_:Solver.Polynomial instance objective with
+    | Error (Solver.Not_applicable _) ->
+        Solver.run ~method_:Solver.Exact_enum instance objective
+    | r -> r
   in
   match reference with
-  | None ->
+  | Error _ | Ok None ->
       (* Either not certifiable, or the reference says infeasible — the
          caller's feasibility flag distinguishes. *)
       Unknown
-  | Some reference ->
+  | Ok (Some reference) ->
       let mine = Instance.objective_value objective s.Solution.evaluation in
       let best = Instance.objective_value objective reference.Solution.evaluation in
       if F.approx_eq ~eps:1e-6 mine best then Optimal

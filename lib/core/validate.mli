@@ -3,8 +3,7 @@
     Heuristics and external tools hand back mappings; this module
     re-derives everything from first principles and reports exactly what
     holds: structural validity, metric consistency, threshold feasibility,
-    and — when the platform class admits a polynomial optimal algorithm or
-    the instance is small enough for branch-and-bound — optimality. *)
+    and — when {!Solver} can prove an optimum — optimality. *)
 
 open Relpipe_model
 
@@ -27,9 +26,10 @@ type report = {
 }
 
 val check : Instance.t -> Instance.objective -> Solution.t -> report
-(** On intractable classes the optimality certificate comes from
-    branch-and-bound, run only when stages times processors is at most
-    36 (n, m <= 6); beyond that optimality is [Unknown]. *)
+(** Optimality is certified against {!Solver}'s optimum: Algorithms 1-4
+    on their classes, else the exact leg when the mapping space is within
+    {!Solver.default_exact_budget} (every n, m <= 6 shape, and 2 x 11).
+    A larger space, or an instance the solver refuses, gives [Unknown]. *)
 
 val ok : report -> bool
 (** Structurally valid, consistent and feasible (optimality not

@@ -109,8 +109,8 @@ let pareto_front evals =
 let check_heuristics _ctx rng (case : Gen.case) =
   let inst = case.Gen.instance and obj = case.Gen.objective in
   let n, m = shape case in
-  (* count_mappings counts by enumeration, so bound the shape before
-     asking for the count (same pre-guard as Solver.small_enough). *)
+  (* The oracle enumerates the space below, so bound the shape first
+     (the pre-guard of Solver.small_enough). *)
   if n > 6 || m > 6 then skipf "size guard: n=%d m=%d (needs n <= 6, m <= 6)" n m;
   let space = Core.Exact.count_mappings ~n ~m () in
   if space > 5_000 then skipf "mapping space %d > 5000" space;
@@ -216,9 +216,7 @@ let check_canon _ctx rng (case : Gen.case) =
   in
   let inst' = Instance.make inst.Instance.pipeline platform' in
   let engine = Service.Engine.create ~workers:1 ~cache_capacity:64 () in
-  let key i =
-    (Service.Engine.normalize engine i obj).Service.Canon.key
-  in
+  let key i = (Service.Engine.normalize i obj).Service.Canon.key in
   if not (String.equal (key inst) (key inst')) then
     failf "renumbered instance canonicalizes to a different cache key";
   let r1 = Service.Engine.solve_instance engine inst obj in
@@ -508,9 +506,7 @@ let check_metrics_invariance _ctx _rng (case : Gen.case) =
     failf "recording sink changed the engine response:\n  plain: %s\n  obs:   %s"
       plain instrumented;
   (* The solver must be equally indifferent to an ambient context. *)
-  let run () =
-    Core.Solver.run ~method_:Core.Solver.Auto ~exact_budget:200_000 inst obj
-  in
+  let run () = Core.Solver.run ~method_:Core.Solver.Auto inst obj in
   let direct = run () in
   let ambient = Relpipe_obs.Obs.with_ambient (Some obs) run in
   let bits x = Int64.bits_of_float x in

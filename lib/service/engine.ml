@@ -18,18 +18,16 @@ type entry = {
 
 type t = {
   eff_workers : int;
-  exact_budget : int;
   cache : entry Lru.Sharded.t;
   obs : Obs.t;
 }
 
 let create ?obs ?workers ?(cap_to_cpus = true) ?(cache_capacity = 1024)
-    ?(cache_shards = 1) ?(exact_budget = 200_000) () =
+    ?(cache_shards = 1) () =
   let requested = match workers with Some w -> w | None -> Pool.cpu_count () in
   let obs = match obs with Some o -> o | None -> Obs.create () in
   {
     eff_workers = Pool.effective_workers ~cap:cap_to_cpus requested;
-    exact_budget;
     cache =
       Lru.Sharded.create_in ~metrics:obs.Obs.metrics ~name:"engine.cache"
         ~shards:cache_shards ~capacity:cache_capacity;
@@ -58,7 +56,7 @@ type plan =
   | From_job of ready * int  (* index into the job array *)
   | Shared_job of ready * int
 
-let prepare t req =
+let prepare req =
   match req with
   | Error msg -> Bad (None, msg)
   | Ok rq -> (
@@ -86,9 +84,8 @@ let prepare t req =
                     (List.map (fun d -> Diagnostic.to_string ?file d) ds) )
           | Ok inst ->
               let budget =
-                match rq.Protocol.budget with
-                | Some b -> b
-                | None -> t.exact_budget
+                Option.value rq.Protocol.budget
+                  ~default:Solver.default_exact_budget
               in
               let norm =
                 Canon.normalize ~budget ~method_:rq.Protocol.method_ inst
@@ -146,7 +143,7 @@ let run_batch t reqs =
     Obs.span obs
       ~attrs:[ ("requests", string_of_int n_reqs) ]
       "engine.phase.prepare"
-      (fun () -> Array.map (prepare t) reqs)
+      (fun () -> Array.map prepare reqs)
   in
   (* Plan phase: sequential, in submission order, so cache decisions are
      independent of how the solve phase is scheduled. *)
@@ -263,8 +260,8 @@ let run_lines t lines =
   let batch = Array.of_list (List.map Protocol.decode_request nonblank) in
   Array.to_list (Array.map Protocol.encode_response (run_batch t batch))
 
-let normalize t ?(method_ = Solver.Auto) ?budget inst objective =
-  let budget = match budget with Some b -> b | None -> t.exact_budget in
+let normalize ?(method_ = Solver.Auto) ?(budget = Solver.default_exact_budget)
+    inst objective =
   Canon.normalize ~budget ~method_ inst objective
 
 let solve_instance t ?method_ ?budget inst objective =

@@ -32,7 +32,6 @@ val create :
   ?cap_to_cpus:bool ->
   ?cache_capacity:int ->
   ?cache_shards:int ->
-  ?exact_budget:int ->
   unit ->
   t
 (** [workers] defaults to {!Relpipe_pool.Pool.cpu_count}[ ()] and is
@@ -42,8 +41,8 @@ val create :
     that many independently locked shards ({!Relpipe_util.Lru.Sharded}) so
     a serve daemon can share one engine across concurrent sessions — with one
     shard the hit/miss/eviction sequence is exactly the historical
-    single-cache behaviour; [exact_budget] (default [200_000]) is used
-    when a request carries none.
+    single-cache behaviour.  A request that carries no ["budget"] gets
+    {!Relpipe_core.Solver.default_exact_budget}.
 
     The engine always records, into [obs] or, when given none, into a
     registry of its own: counters
@@ -73,16 +72,15 @@ val run_lines : t -> string list -> string list
     encode JSONL response lines in request order. *)
 
 val normalize :
-  t ->
   ?method_:Relpipe_core.Solver.method_ ->
   ?budget:int ->
   Instance.t ->
   Instance.objective ->
   Canon.normalized
-(** The canonical form this engine would compute for a request ([budget]
-    defaults to the engine's [exact_budget], [method_] to [Auto]) — the
-    hook the fuzzer's cache-invariance oracle uses to compare keys
-    without running a solve. *)
+(** The canonical form every engine computes for a request ([budget]
+    defaults to {!Relpipe_core.Solver.default_exact_budget}, [method_] to
+    [Auto]) — the hook the fuzzer's cache-invariance oracle uses to
+    compare keys without running a solve. *)
 
 val solve_instance :
   t ->

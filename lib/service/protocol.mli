@@ -13,7 +13,7 @@
       "max_latency":L}] or [{"minimize":"latency","max_failure":F}];
     - ["method"] (optional string, default ["auto"]) — one of
       {!method_names};
-    - ["budget"] (optional int) — exact-enumeration budget override.
+    - ["budget"] (optional int) — mapping-space budget of the exact leg.
 
     {b Response} fields: ["v"], ["index"] (position of the request in the
     batch), ["id"] (echoed when present), ["cache"] (["hit"]/["miss"]),

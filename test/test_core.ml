@@ -464,7 +464,45 @@ let exact_count_formula () =
      subsets; the split has 2 ordered disjoint pairs -> 5 mappings. *)
   Alcotest.(check int) "n2 m2" 5 (Exact.count_mappings ~n:2 ~m:2 ());
   (* Single stage: 2^m - 1 replication sets. *)
-  Alcotest.(check int) "n1 m4" 15 (Exact.count_mappings ~n:1 ~m:4 ())
+  Alcotest.(check int) "n1 m4" 15 (Exact.count_mappings ~n:1 ~m:4 ());
+  (* The closed form counts exactly what the enumerator walks. *)
+  let enumerated ~n ~m =
+    let count = ref 0 in
+    Exact.iter_mappings ~n ~m (fun _ -> incr count);
+    !count
+  in
+  let check ~n ~m expected =
+    Alcotest.(check int)
+      (Printf.sprintf "n%d m%d" n m)
+      expected (Exact.count_mappings ~n ~m ())
+  in
+  for n = 1 to 6 do
+    for m = 1 to 6 do
+      check ~n ~m (enumerated ~n ~m)
+    done
+  done;
+  (* fig5's shape, within the default budget. *)
+  Alcotest.(check int) "n2 m11 enumerated" 175_099 (enumerated ~n:2 ~m:11);
+  check ~n:2 ~m:11 175_099
+
+(* Counts past max_int saturate instead of wrapping: the count never
+   decreases as processors are added, and stays exact below the
+   saturation point. *)
+let exact_count_saturates () =
+  Alcotest.(check int) "n7 m16 exact" 248_242_046_141_055
+    (Exact.count_mappings ~n:7 ~m:16 ());
+  Alcotest.(check int) "n40 m62 saturated" max_int
+    (Exact.count_mappings ~n:40 ~m:62 ());
+  List.iter
+    (fun n ->
+      for m = 2 to 62 do
+        let before = Exact.count_mappings ~n ~m:(m - 1) ()
+        and after = Exact.count_mappings ~n ~m () in
+        if after < before then
+          Alcotest.failf "n%d: %d mappings at m=%d but %d at m=%d" n before
+            (m - 1) after m
+      done)
+    [ 1; 7; 40; 200 ]
 
 let exact_enumerates_valid =
   Helpers.seed_property ~count:20 "enumerated mappings validate" (fun seed ->
@@ -476,15 +514,16 @@ let exact_enumerates_valid =
           | Error _ -> ok := false);
       !ok)
 
+(* n=3, m=12 spans 16,245,775 mappings, over the 5,000,000 cap: refused
+   before any enumeration, not after walking the cap. *)
 let exact_budget_guard () =
   let rng = Rng.create 1 in
-  let inst = Helpers.random_fully_hetero rng ~n:4 ~m:5 in
-  Alcotest.(check bool) "raises Too_large" true
-    (try
-       ignore
-         (Exact.solve ~budget:10 inst (Instance.Min_latency { max_failure = 1.0 }));
-       false
-     with Exact.Too_large _ -> true)
+  let inst = Helpers.random_fully_hetero rng ~n:3 ~m:12 in
+  match Exact.solve inst (Instance.Min_latency { max_failure = 1.0 }) with
+  | _ -> Alcotest.fail "expected Too_large"
+  | exception Exact.Too_large msg ->
+      Alcotest.(check string) "refusal"
+        "Exact.solve: more than 5000000 mappings (n=3 m=12)" msg
 
 (* ------------------------------------------------------------------ *)
 (* Pareto                                                              *)
@@ -586,18 +625,57 @@ let pareto_thresholds_ordered () =
 (* Solver facade                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let solver_auto_dispatch =
-  Helpers.seed_property ~count:25 "Auto equals Exact on small instances"
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 1 + (seed mod 3) and m = 2 + (seed mod 3) in
-      let inst = Helpers.random_fully_hetero rng ~n ~m in
-      let max_latency, _ = thresholds_for rng inst in
-      let objective = Instance.Min_failure { max_latency } in
-      match (Solver.solve inst objective, Exact.solve inst objective) with
-      | None, None -> true
-      | Some a, Some b -> F.approx_eq ~eps:1e-6 (failure_of a) (failure_of b)
-      | Some _, None | None, Some _ -> false)
+(* On the classes Auto answers exactly, Auto and the exact method reply
+   with the oracle's answer itself: the same mapping with bit-identical
+   latency and failure, or infeasible together.  Every shape n in 1..6,
+   m in 2..6 of each class is drawn from its own seed.  The loose latency
+   bound makes the failure probability tie across cut positions. *)
+let solver_auto_dispatch () =
+  let classes =
+    [
+      ("fully-hetero", Helpers.random_fully_hetero);
+      ("comm-homog", Helpers.random_comm_homog);
+      ( "speed-correlated",
+        fun rng ~n ~m ->
+          Instance.make
+            (Helpers.random_pipeline rng ~n)
+            (Relpipe_workload.Plat_gen.speed_correlated_failures rng ~m
+               ~speed:(1.0, 10.0) ~failure:(0.05, 0.6)
+               ~bandwidth:(Rng.float_range rng 1.0 10.0)) );
+    ]
+  in
+  let same (a : Solution.t) (b : Solution.t) =
+    Mapping.equal a.Solution.mapping b.Solution.mapping
+    && F.same_bits (latency_of a) (latency_of b)
+    && F.same_bits (failure_of a) (failure_of b)
+  in
+  List.iteri
+    (fun c (name, make) ->
+      for n = 1 to 6 do
+        for m = 2 to 6 do
+          let rng = Rng.create ((100 * c) + (10 * n) + m) in
+          let inst = make rng ~n ~m in
+          let max_latency, max_failure = thresholds_for rng inst in
+          List.iter
+            (fun objective ->
+              let oracle = Exact.solve inst objective in
+              List.iter
+                (fun (label, method_) ->
+                  match (Solver.run ~method_ inst objective, oracle) with
+                  | Ok None, None -> ()
+                  | Ok (Some a), Some b when same a b -> ()
+                  | _ ->
+                      Alcotest.failf "%s n=%d m=%d %a: %s differs from Exact"
+                        name n m Instance.pp_objective objective label)
+                [ ("auto", Solver.Auto); ("exact", Solver.Exact_enum) ])
+            [
+              Instance.Min_latency { max_failure };
+              Instance.Min_failure { max_latency };
+              Instance.Min_failure { max_latency = 1e9 };
+            ]
+        done
+      done)
+    classes
 
 let solver_polynomial_raises () =
   let inst = Relpipe_workload.Scenarios.fig34 () in
@@ -671,6 +749,7 @@ let () =
       ( "exact",
         [
           test "count formula" exact_count_formula;
+          test "count saturates without wrapping" exact_count_saturates;
           exact_enumerates_valid;
           test "budget guard" exact_budget_guard;
         ] );
@@ -684,7 +763,7 @@ let () =
         ] );
       ( "solver",
         [
-          solver_auto_dispatch;
+          test "Auto equals Exact on small instances" solver_auto_dispatch;
           test "polynomial raises" solver_polynomial_raises;
           test "describe" solver_describe;
         ] );

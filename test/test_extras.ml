@@ -211,16 +211,39 @@ let validate_poly_certificate =
           let r = Validate.check inst objective s in
           r.Validate.optimality = Validate.Optimal)
 
+(* Shapes whose mapping space exceeds the default exact budget: 6 x 8
+   spans about 4.1e6 mappings, 2 x 18 about 3.9e8 and the 1 x 30
+   fixture 2^30 - 1.  Each is refused before any search, so optimality
+   is unknown at once instead of after a branch and bound that runs for
+   minutes. *)
 let validate_unknown_when_large () =
   let rng = Rng.create 5 in
   let inst = Helpers.random_fully_hetero rng ~n:6 ~m:8 in
   let objective = Instance.Min_failure { max_latency = 1e9 } in
-  match Heuristics.single_greedy inst objective with
-  | None -> Alcotest.fail "expected a solution"
-  | Some s ->
-      let r = Validate.check inst objective s in
-      Alcotest.(check bool) "no tractable certificate" true
-        (r.Validate.optimality = Validate.Unknown)
+  let greedy =
+    match Heuristics.single_greedy inst objective with
+    | None -> Alcotest.fail "expected a solution"
+    | Some s -> s.Solution.mapping
+  in
+  let wide =
+    match Textio.parse_file "fixtures/wide_fully_hetero.relpipe" with
+    | Ok inst -> inst
+    | Error msg -> Alcotest.fail msg
+  in
+  let one u = { Mapping.first = u + 1; last = u + 1; procs = [ u ] } in
+  List.iter
+    (fun (name, inst, mapping) ->
+      let r = Validate.check inst objective (Solution.of_mapping inst mapping) in
+      Alcotest.(check bool) (name ^ " ok") true (Validate.ok r);
+      Alcotest.(check bool) (name ^ " no tractable certificate") true
+        (r.Validate.optimality = Validate.Unknown))
+    [
+      ("6x8", inst, greedy);
+      ( "2x18",
+        Helpers.random_fully_hetero (Rng.create 7) ~n:2 ~m:18,
+        Mapping.make ~n:2 ~m:18 [ one 0; one 1 ] );
+      ("1x30", wide, Mapping.make ~n:1 ~m:30 [ one 0 ]);
+    ]
 
 let () =
   Alcotest.run "extras"

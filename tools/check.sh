@@ -200,6 +200,26 @@ fi
 [ -s "$tmp/replay-w1.out" ] || {
   echo "check.sh: serve replay produced no replies" >&2; exit 1; }
 
+echo "== refusals before work =="
+# An exact search over its budget is refused from the closed-form count of
+# its mapping space, before any enumeration, and eval answers a wide
+# instance without a search.  A refusal and a timeout kill both exit 124,
+# so each case checks the message, not the exit code.
+campus=examples/instances/campus-grid.relpipe
+for case in \
+  "more than 200000 mappings|solve -i $campus -L 10 -m exact" \
+  "over budget|tri -i $campus -L 10 -P 5 --exact" \
+  "no tractable certificate|eval -i test/fixtures/wide_fully_hetero.relpipe -F 0.5 --mapping 1:0"
+do
+  needle=${case%%|*}
+  timeout 10 "$relpipe" ${case#*|} >"$tmp/refusal.out" 2>&1 || true
+  if ! grep -q "$needle" "$tmp/refusal.out"; then
+    echo "check.sh: '${case#*|}' did not print '$needle' within 10 s" >&2
+    cat "$tmp/refusal.out" >&2
+    exit 1
+  fi
+done
+
 echo "== relpipe fuzz: smoke campaign =="
 # 200 seeded cases across every oracle (including opt-vs-reference, which
 # pins the optimized kernels to their frozen twins); any failure (exit 1)
