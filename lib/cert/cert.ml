@@ -2,7 +2,7 @@ open Relpipe_model
 
 let magic = "relpipe-cert v1"
 
-type reason = Threshold | Dominated
+type reason = Threshold | Dominated | Bounded
 
 type status =
   | Expanded
@@ -173,7 +173,8 @@ let to_string t =
               str
                 (match reason with
                 | Threshold -> " pruned threshold "
-                | Dominated -> " pruned dominated ");
+                | Dominated -> " pruned dominated "
+                | Bounded -> " pruned bounded ");
               hex latency_lb;
               chr ' ';
               hex partial_failure);
@@ -266,6 +267,7 @@ let parse_status = function
         match reason with
         | "threshold" -> Ok Threshold
         | "dominated" -> Ok Dominated
+        | "bounded" -> Ok Bounded
         | r -> fail "unknown prune reason %S" r
       in
       let* latency_lb = float_of lb in
@@ -488,3 +490,18 @@ let mutate_drop_line ?(index = 0) t =
         let victim = List.nth cells (pick index (List.length cells)) in
         Some
           { t with body = Dp { dp with cells = List.filter (( != ) victim) cells } }
+
+let mutate_relabel_bounded t =
+  match t.body with
+  | Bb ({ nodes; _ } as bb) ->
+      let relabelled = ref false in
+      let relabel node =
+        match node.status with
+        | Pruned ({ reason = Bounded; _ } as p) ->
+            relabelled := true;
+            { node with status = Pruned { p with reason = Dominated } }
+        | Expanded | Evaluated _ | Pruned _ -> node
+      in
+      let nodes = List.map relabel nodes in
+      if !relabelled then Some { t with body = Bb { bb with nodes } } else None
+  | Dp _ -> None

@@ -1,10 +1,11 @@
 (** Optimality certificates for the exact solvers.
 
     A certificate is a self-contained, re-checkable account of {e why} a
-    reported mapping is optimal: for the branch-and-bound solver, the full
-    search transcript (every expansion, evaluation, and pruned subtree with
-    the exact bound that justified the cut); for the interval DP, the full
-    table of finite cells, read as a potential function.  The companion
+    reported mapping is optimal: for the branch-and-bound solver, the
+    transcript of a search run under a known upper bound (every expansion,
+    evaluation, and pruned subtree with the exact bound that justified the
+    cut); for the interval DP, the full table of finite cells, read as a
+    potential function.  The companion
     {!Check} module replays a certificate against the instance alone — it
     shares no code with [lib/core] (its [dune] file does not even link it)
     — so a bug in the solver and a bug in the checker would have to agree
@@ -15,7 +16,10 @@
     directive ([kind], [n], [m], [instance], [objective], [claim],
     [mapping], [node], [cell]), so a certificate may be reordered
     arbitrarily below the magic line without changing its meaning
-    (property-tested in test/test_cert.ml).  Blank lines and [#] comments
+    (property-tested in test/test_cert.ml).  A [node] line reads [node PATH
+    expanded], [node PATH evaluated LATENCY FAILURE] or [node PATH pruned
+    REASON LATENCY_LB PARTIAL_FAILURE], with [REASON] one of [threshold],
+    [dominated] and [bounded].  Blank lines and [#] comments
     are ignored.  Floats are printed as hexadecimal literals, byte for
     byte what [Printf.sprintf "%h"] prints, so every recorded number
     round-trips bit-for-bit. *)
@@ -28,6 +32,12 @@ type reason =
   | Dominated
       (** the subtree's objective lower bound cannot beat the claimed
           optimum, which the incumbent upper-bounded at cut time *)
+  | Bounded
+      (** the subtree's objective lower bound lies strictly above the
+          claim's objective: the search cut it against the bound of a
+          mapping it had already found, before an incumbent of its own
+          could justify the cut.  Written [pruned bounded]; a checker
+          that predates the reason refuses it by name *)
 
 type status =
   | Expanded
@@ -104,3 +114,10 @@ val mutate_drop_line : ?index:int -> t -> t option
 (** Delete the [index]-th (mod count) [node]/[cell] entry — a dropped
     admission the replay must notice.  [None] when there is nothing to
     drop. *)
+
+val mutate_relabel_bounded : t -> t option
+(** Relabel every [Bounded] cut of a [Bb] transcript as [Dominated].  The
+    search labels a cut [Bounded] only when its incumbent cannot justify
+    it, and the replay holds that same incumbent, so the checker refuses
+    every such mutant.  [None] when the transcript has no [Bounded] cut,
+    and for [Dp]. *)

@@ -248,6 +248,16 @@ let check_bb env ~objective ~claim ~nodes =
   let edges, recorded = index_transcript env nodes in
   let entries = List.length nodes in
   let full_m = (1 lsl env.m) - 1 in
+  (* What a [bounded] cut must lie strictly above: the claim's objective
+     as recorded, not inflated.  The claim must replay as an evaluated
+     leaf below, so it is achieved, and a mapping better than it has a
+     smaller objective, which no cut subtree above it can hold. *)
+  let claim_objective =
+    match claim with
+    | Cert.Infeasible -> None
+    | Cert.Feasible { latency; failure; _ } ->
+        Some (Instance.objective_value objective { Instance.latency; failure })
+  in
   (* The incumbent fold, replayed with the model's own acceptance rule in
      the search's exact child order: what survives is, bit for bit, what
      the canonical solver returns. *)
@@ -276,6 +286,11 @@ let check_bb env ~objective ~claim ~nodes =
         if not (F.same_bits latency_lb lb && F.same_bits partial_failure pf)
         then
           reject "recorded bounds at %s do not replay" (path_key rpath);
+        let objective_lb =
+          match objective with
+          | Instance.Min_latency _ -> lb
+          | Instance.Min_failure _ -> pf
+        in
         match (reason, objective) with
         | Cert.Threshold, Instance.Min_failure { max_latency } ->
             if F.leq lb max_latency then
@@ -283,12 +298,17 @@ let check_bb env ~objective ~claim ~nodes =
         | Cert.Threshold, Instance.Min_latency { max_failure } ->
             if F.leq pf max_failure then
               reject "threshold cut at %s is not justified" (path_key rpath)
-        | Cert.Dominated, Instance.Min_latency _ ->
-            if not (lb >= incumbent_objective ()) then
+        | Cert.Dominated, _ ->
+            if not (objective_lb >= incumbent_objective ()) then
               reject "dominated cut at %s is not justified" (path_key rpath)
-        | Cert.Dominated, Instance.Min_failure _ ->
-            if not (pf >= incumbent_objective ()) then
-              reject "dominated cut at %s is not justified" (path_key rpath))
+        | Cert.Bounded, _ -> (
+            match claim_objective with
+            | None ->
+                reject "bounded cut at %s under an infeasible claim"
+                  (path_key rpath)
+            | Some bound ->
+                if not (objective_lb > bound) then
+                  reject "bounded cut at %s is not justified" (path_key rpath)))
     | Cert.Evaluated { latency; failure } -> (
         if next_stage <= env.n then
           reject "evaluated node %s does not cover the pipeline"
@@ -356,12 +376,19 @@ let check_bb env ~objective ~claim ~nodes =
 (* Interval-DP potential tables                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The potential table, reused across checks on the same domain. *)
+let ws_potential = Relpipe_util.Workspace.floats ()
+
 let check_dp env ~latency:claimed ~mapping ~cells =
   if env.m > dp_max_procs then
     reject "interval-dp certificate beyond the %d-processor cap" dp_max_procs;
   if not (Float.is_finite claimed) then reject "claimed latency is not finite";
   let masks = 1 lsl env.m in
-  let y = Array.make ((env.n + 1) * env.m * masks) Float.infinity in
+  let y =
+    Relpipe_util.Workspace.get_floats ws_potential
+      ~len:((env.n + 1) * env.m * masks)
+      ~fill:Float.infinity
+  in
   let idx e u mask = (((e * env.m) + u) * masks) + mask in
   List.iter
     (fun { Cert.e; u; mask; value } ->

@@ -19,15 +19,30 @@
       is recomputed and must match bit-for-bit.  [pruned threshold]
       entries must genuinely violate the objective's threshold under the
       model's eps-tolerant [leq]; [pruned dominated] entries must carry
-      an objective lower bound at or above the claimed optimum (sound
-      because the solver's incumbent decreases eps-strictly, so any
-      incumbent that justified a cut is >= the final claim).  A feasible
-      claim must re-price bit-for-bit to its recorded values, be
-      feasible, appear in the transcript as an evaluated leaf, and no
-      evaluated feasible leaf may be eps-strictly better; an infeasible
-      claim forbids feasible leaves and [dominated] cuts outright.
+      an objective lower bound at or above the replayed incumbent at that
+      point (sound because the incumbent decreases eps-strictly, so any
+      incumbent that justified a cut is >= the final claim); [pruned
+      bounded] entries must carry an objective lower bound strictly above
+      the claim's objective B.  A feasible claim must re-price
+      bit-for-bit to its recorded values, be feasible, appear in the
+      transcript as an evaluated leaf, and no evaluated feasible leaf may
+      be eps-strictly better; an infeasible claim forbids feasible
+      leaves, and forbids [dominated] and [bounded] cuts outright.
       Together these certify: the claim is achievable and no feasible
       interval mapping beats it beyond the model's eps tolerance.
+
+      B is the claim's objective as recorded, not inflated.  It is sound:
+      the claim is achieved (it replays as an evaluated leaf), and a
+      mapping better than it has a smaller objective, so none of its
+      ancestors has a lower bound above B.  It is never stricter than the
+      search, which cuts against inflated objectives of mappings at most
+      eps below the claim, and those lie above B.  Inflating B instead
+      would refuse genuine cuts: when the search's bound comes from a
+      mapping within eps below the claim, it sits below the inflated
+      claim, and a cut between the two is sound.  A transcript without
+      [bounded] entries is checked exactly as before the reason existed,
+      so every certificate an unbounded recorder wrote is still
+      accepted.
 
     - [Dp] certificates: the cell table is read as a potential function.
       Every singleton cell must be present and at most the first-interval

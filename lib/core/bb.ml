@@ -239,10 +239,10 @@ let expand s ~next_stage ~used ~closed ~pending ~latency_closed ~log_survival
 
 (* The mutable half of a search over one snapshot.  The drivers differ
    only in the state they start from: the serial solve owns a cell
-   holding its [?prune_above] and runs unbudgeted; the recorded solve
-   also keeps a transcript; each probe task has a node budget and shares
-   one cell with every other task; the confirm pass starts from the
-   probe's final bound.
+   holding its [?prune_above] and runs unbudgeted; each probe task has a
+   node budget and shares one cell with every other task; the confirm
+   pass starts from the probe's final bound, and the recorded one also
+   keeps a transcript.
 
    Every state publishes each new incumbent's inflated objective into
    its cell.  That never changes a cut of a search that owns its cell:
@@ -292,7 +292,9 @@ type verdict = Keep | Cut of Cert.reason
 (* A subtree whose objective lower bound is at or above the incumbent, or
    strictly above the bound cell, cannot contain a strictly better
    optimum, so cutting it leaves the returned solution bit-identical to
-   an unbounded solve. *)
+   an unbounded solve.  A cut the incumbent justifies is Dominated; one
+   that only the cell justifies is Bounded, which a certificate checker
+   accepts against the claim's objective (lib/cert/check.ml). *)
 let prune_ex st ~partial_latency ~partial_failure ~done_upto =
   (* rem.(done_upto) is the lower bound on the latency still to be paid
      for stages > done_upto: remaining work at the fastest speed
@@ -303,14 +305,14 @@ let prune_ex st ~partial_latency ~partial_failure ~done_upto =
   match st.snap.objective with
   | Instance.Min_failure { max_latency } ->
       if not (F.leq latency_lb max_latency) then Cut Cert.Threshold
-      else if partial_failure >= incumbent || partial_failure > bound0 then
-        Cut Cert.Dominated
+      else if partial_failure >= incumbent then Cut Cert.Dominated
+      else if partial_failure > bound0 then Cut Cert.Bounded
       else Keep
 
   | Instance.Min_latency { max_failure } ->
       if not (F.leq partial_failure max_failure) then Cut Cert.Threshold
-      else if latency_lb >= incumbent || latency_lb > bound0 then
-        Cut Cert.Dominated
+      else if latency_lb >= incumbent then Cut Cert.Dominated
+      else if latency_lb > bound0 then Cut Cert.Bounded
       else Keep
 
 (* Transcript entry for the node identified by [closed]/[pending]; only
@@ -413,18 +415,6 @@ let solve_with_stats ?prune_above instance objective =
 let solve ?prune_above instance objective =
   fst (solve_with_stats ?prune_above instance objective)
 
-let solve_recorded instance objective =
-  (* Unbounded on purpose: every Dominated cut in the transcript is then
-     justified by the local incumbent alone, whose objective is an upper
-     bound on the optimum — the independent checker re-derives exactly
-     that (lib/cert).  Serial, so the transcript is deterministic. *)
-  let st =
-    start ~record:true (snapshot instance objective)
-      (Bound.create Float.infinity)
-  in
-  run_root st;
-  (st.best, List.rev st.log)
-
 (* ------------------------------------------------------------------ *)
 (* Parallel solve                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -472,21 +462,18 @@ let frontier root =
       Array.stable_sort (fun (a, _) (b, _) -> Float.compare a b) arr;
       arr
 
-let solve_par_with_stats ?(prune_above = Float.infinity) ~workers instance
-    objective =
-  let obs = Obs.ambient () in
-  let snap = snapshot instance objective in
-  let shared = Bound.create prune_above in
-  (* Phase 1 — probe: distribute the root frontier (every choice of first
-     interval) over the pool in best-first order.  Tasks run budgeted
-     depth-first searches over the shared read-only snapshot against one
-     shared cell: any feasible mapping a task completes publishes
-     [inflate_bound objective] into it, root-pruning weaker subtrees on
-     every domain.  Nothing the probe finds is trusted as an answer — it
-     only tightens a sound upper bound. *)
+(* Phase 1 of both drivers below — probe: distribute the root frontier
+   (every choice of first interval) over the pool in best-first order.
+   Tasks run budgeted depth-first searches over the shared read-only
+   snapshot against one shared cell: any feasible mapping a task
+   completes publishes [inflate_bound objective] into it, root-pruning
+   weaker subtrees on every domain.  Nothing the probe finds is trusted
+   as an answer — it only tightens a sound upper bound.  Returns the
+   number of tasks and of nodes they expanded. *)
+let probe ?obs ~workers snap shared =
   let tasks = frontier (start snap shared) in
   let fuel_pool = Atomic.make probe_total_fuel in
-  let probe (_, resume) =
+  let run (_, resume) =
     if Atomic.fetch_and_add fuel_pool (-probe_task_fuel) <= 0 then 0
     else begin
       let st = start ~fuel:probe_task_fuel snap shared in
@@ -494,8 +481,15 @@ let solve_par_with_stats ?(prune_above = Float.infinity) ~workers instance
       st.nodes
     end
   in
-  let visited, _pool_stats = Pool.map ?obs ~workers probe tasks in
-  let probe_nodes = Array.fold_left ( + ) 0 visited in
+  let visited, _pool_stats = Pool.map ?obs ~workers run tasks in
+  (Array.length tasks, Array.fold_left ( + ) 0 visited)
+
+let solve_par_with_stats ?(prune_above = Float.infinity) ~workers instance
+    objective =
+  let obs = Obs.ambient () in
+  let snap = snapshot instance objective in
+  let shared = Bound.create prune_above in
+  let tasks, probe_nodes = probe ?obs ~workers snap shared in
   (* Phase 2 — confirm: one serial pass under the probe's bound.  The
      cell holds min(prune_above, inflate(best published objective)),
      which is a sound upper bound on the optimum, so by the
@@ -509,8 +503,26 @@ let solve_par_with_stats ?(prune_above = Float.infinity) ~workers instance
         solve_snapshot ~prune_above:(Bound.get shared) snap)
   in
   Obs.incr obs "core.exact.par.bb.solves";
-  Obs.add obs "core.exact.par.bb.tasks" (Array.length tasks);
-  (best, { tasks = Array.length tasks; probe_nodes; confirm })
+  Obs.add obs "core.exact.par.bb.tasks" tasks;
+  (best, { tasks; probe_nodes; confirm })
 
 let solve_par ?prune_above ~workers instance objective =
   fst (solve_par_with_stats ?prune_above ~workers instance objective)
+
+(* ------------------------------------------------------------------ *)
+(* Recorded solve                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let solve_recorded instance objective =
+  (* The probe at one worker and with no metrics context (no domain
+     spawned, nothing recorded, deterministic), then the confirm pass
+     recorded under its bound.  A cut only that bound justifies is
+     labelled Bounded, and the checker accepts it against the claim's
+     objective, which lies below every inflated bound the probe can
+     publish. *)
+  let snap = snapshot instance objective in
+  let shared = Bound.create Float.infinity in
+  ignore (probe ~workers:1 snap shared : int * int);
+  let st = start ~record:true snap shared in
+  run_root st;
+  (st.best, List.rev st.log)

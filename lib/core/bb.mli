@@ -22,9 +22,18 @@
     tables (slowest speed, input sends, interval failure) filled up front
     for up to 16 processors.  The {e search state} holds the incumbent,
     its bound cell, a node budget, the counters and, when recording, the
-    transcript.  {!solve_with_stats}, {!solve_recorded}, each probe task
-    of {!solve_par} and its confirm pass differ only in the state they
-    start from; the probe tasks and the confirm pass share one snapshot.
+    transcript.  {!solve_with_stats}, each probe task of {!solve_par} and
+    {!solve_recorded}, and their confirm passes differ only in the state
+    they start from; the probe tasks and the confirm pass share one
+    snapshot.
+
+    A cut for the objective is [Dominated] when the incumbent justifies
+    it (the subtree's objective lower bound is at or above the
+    incumbent's objective) and [Bounded] when only the bound cell does
+    (the lower bound is strictly above the cell: [?prune_above], or an
+    inflated objective the probe published).  The label changes no
+    answer and no count; a recorded transcript keeps it for the
+    certificate checker.
 
     The returned solution is pinned bit-for-bit to the original
     implementation kept in {!Reference}.  Node counts, probe counts and
@@ -140,10 +149,16 @@ val solve_recorded :
   Instance.t ->
   Instance.objective ->
   Solution.t option * Relpipe_cert.Cert.node list
-(** Serial solve that also returns the full search transcript, one
-    certificate node per search node in depth-first preorder, with every
-    recorded number exactly the float the search computed.  Runs unbounded
-    (no [?prune_above]) so each [Dominated] entry is justified by the
-    incumbent alone — which is what the independent certificate checker
-    in [lib/cert] re-derives.  The transcript is the raw material for
-    {!Certify.bb}. *)
+(** Serial solve that also returns the search transcript of its confirm
+    pass, one certificate node per search node in depth-first preorder,
+    with every recorded number exactly the float the search computed.  It
+    runs {!solve_par}'s probe at one worker and with no metrics context
+    (no domain spawned, nothing recorded, so the transcript is
+    deterministic), then records the confirm pass under the probe's
+    bound; by the [?prune_above] contract the answer is {!solve}'s, bit
+    for bit.  The transcript holds two kinds of objective cut: a
+    [Dominated] cut is justified by the incumbent at that point, which
+    the independent checker in [lib/cert] replays; a [Bounded] cut lies
+    strictly above the probe's inflated bound, hence strictly above the
+    optimum's objective, which is what the checker tests against the
+    claim.  The transcript is the raw material for {!Certify.bb}. *)

@@ -37,18 +37,15 @@ let bb instance objective =
   (best, cert)
 
 let interval instance =
-  let opt, state, _reuse = Interval_exact.Dp.solve instance in
+  let opt, rev_cells =
+    Interval_exact.min_latency_cells instance ~init:[]
+      ~f:(fun acc ~e ~u ~mask value -> { Cert.e; u; mask; value } :: acc)
+  in
   match opt with
   | None -> (None, None)
   | Some (latency, mapping) ->
       let n, m = dims instance in
-      let sn, sm = Interval_exact.Dp.dims state in
-      assert (sn = n && sm = m);
-      let cells =
-        Interval_exact.Dp.fold_finite_cells state ~init:[]
-          ~f:(fun acc ~e ~u ~mask value -> { Cert.e; u; mask; value } :: acc)
-        |> List.rev
-      in
+      let cells = List.rev rev_cells in
       let cert =
         {
           Cert.n;

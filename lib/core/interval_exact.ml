@@ -159,18 +159,45 @@ let close t =
     Some (!best, Mapping.make ~n ~m (rebuild n !best_u !best_mask []))
   end
 
-let min_latency instance =
-  let t = create ~who:"min_latency" ~owned:false instance in
-  let obs = Obs.ambient () in
-  Obs.incr obs "core.interval_dp.runs";
-  Obs.add obs "core.interval_dp.cells" (cells t);
+(* Every finite cell in (e, u, mask) ascending order, with its exact
+   stored value. *)
+let fold_finite_cells t ~init ~f =
+  let { n; m; masks; dp; _ } = t in
+  let acc = ref init in
+  for e = 1 to n do
+    for u = 0 to m - 1 do
+      let row = ((e * m) + u) * masks in
+      for mask = 1 to masks - 1 do
+        let value = dp.(row + mask) in
+        if Float.is_finite value then acc := f !acc ~e ~u ~mask value
+      done
+    done
+  done;
+  !acc
+
+(* The serial schedule over a fresh table; returns the number of
+   improvements. *)
+let fill t =
   let all = t.masks - 1 in
   base_rows t ~dirty:all;
   let updates = ref 0 in
   for e = 1 to t.n - 1 do
     updates := !updates + relax t ~dirty:all ~cols:all e
   done;
-  Obs.add obs "core.interval_dp.states" !updates;
+  !updates
+
+let min_latency_cells instance ~init ~f =
+  let t = create ~who:"min_latency_cells" ~owned:false instance in
+  ignore (fill t : int);
+  let opt = close t in
+  (opt, fold_finite_cells t ~init ~f)
+
+let min_latency instance =
+  let t = create ~who:"min_latency" ~owned:false instance in
+  let obs = Obs.ambient () in
+  Obs.incr obs "core.interval_dp.runs";
+  Obs.add obs "core.interval_dp.cells" (cells t);
+  Obs.add obs "core.interval_dp.states" (fill t);
   close t
 
 let min_latency_par ?(workers = 1) instance =
@@ -336,23 +363,7 @@ module Dp = struct
     in
     (close t, t, reuse)
 
-  (* Read-only views for certificate emission (lib/core/certify.ml): the
-     checker in lib/cert never sees this module, only the numbers. *)
-  let dims t = (t.n, t.m)
-
-  let fold_finite_cells t ~init ~f =
-    let { n; m; masks; dp; _ } = t in
-    let acc = ref init in
-    for e = 1 to n do
-      for u = 0 to m - 1 do
-        let row = ((e * m) + u) * masks in
-        for mask = 1 to masks - 1 do
-          let value = dp.(row + mask) in
-          if Float.is_finite value then acc := f !acc ~e ~u ~mask value
-        done
-      done
-    done;
-    !acc
+  let fold_finite_cells = fold_finite_cells
 end
 
 let interval_vs_general_gap instance =

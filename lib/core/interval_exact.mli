@@ -15,9 +15,10 @@
     {!min_latency}, {!min_latency_par} and {!Dp.solve} are three schedules
     of one push-style relaxation kernel over a prefix-sum snapshot of the
     instance: serial, stage by stage over the pool, and serial restricted
-    to the cells a platform change touched.  The first two reuse
-    domain-local flat tables; results are pinned bit-for-bit to the
-    original implementation kept in {!Reference}. *)
+    to the cells a platform change touched.  The first two, and
+    {!min_latency_cells}, reuse domain-local flat tables; results are
+    pinned bit-for-bit to the original implementation kept in
+    {!Reference}. *)
 
 open Relpipe_model
 
@@ -50,6 +51,22 @@ val min_latency_par :
     Records the deterministic [core.exact.par.dp.*] counters (runs,
     cells, stages, states) plus the pool's own metrics; the [(n-1) * m]
     jobs do not depend on [workers].
+    @raise Invalid_argument when [m > max_procs]. *)
+
+val min_latency_cells :
+  Instance.t ->
+  init:'a ->
+  f:('a -> e:int -> u:int -> mask:int -> float -> 'a) ->
+  (float * Mapping.t) option * 'a
+(** {!min_latency}'s answer, plus a fold of [f] over every finite cell of
+    the solved table in {!Dp.fold_finite_cells}'s order: the raw material
+    for the interval-DP optimality certificate ({!Certify.interval}).  The
+    table is the calling domain's workspace, the one {!min_latency} and
+    {!min_latency_par} reuse, so it lives only until the fold returns:
+    [f] must not solve with this module on the same domain, and no cell
+    outlives the call except through the fold's result.  The cells and
+    the answer are bit-identical to a cold {!Dp.solve}'s.  Records no
+    metric.
     @raise Invalid_argument when [m > max_procs]. *)
 
 val interval_vs_general_gap : Instance.t -> float
@@ -93,16 +110,12 @@ module Dp : sig
       pipeline change, safely degrades to a full recompute.
       @raise Invalid_argument when [m > max_procs]. *)
 
-  val dims : state -> int * int
-  (** [(n, m)] of the solved instance. *)
-
   val fold_finite_cells :
     state ->
     init:'a ->
     f:('a -> e:int -> u:int -> mask:int -> float -> 'a) ->
     'a
   (** Fold over every finite DP cell in deterministic (e, u, mask)
-      ascending order: the raw material for the interval-DP optimality
-      certificate ({!Certify.interval}).  The value passed to [f] is the
-      exact stored float. *)
+      ascending order, passing [f] the exact stored float: the same loop
+      {!min_latency_cells} runs over its workspace table. *)
 end

@@ -13,7 +13,8 @@ type report = {
 }
 
 (* The reference optimum comes from Solver: Algorithms 1-4 where they
-   apply, else the exact leg within the default budget. *)
+   apply, else the exact leg within the default budget.  [Error] carries
+   the solver's refusal. *)
 let certify instance objective (s : Solution.t) =
   let reference =
     match Solver.run ~method_:Solver.Polynomial instance objective with
@@ -22,15 +23,16 @@ let certify instance objective (s : Solution.t) =
     | r -> r
   in
   match reference with
-  | Error _ | Ok None ->
-      (* Either not certifiable, or the reference says infeasible — the
-         caller's feasibility flag distinguishes. *)
-      Unknown
+  | Error e -> Error (Solver.error_to_string e)
+  | Ok None ->
+      (* The reference says infeasible — the caller's feasibility flag
+         distinguishes. *)
+      Ok Unknown
   | Ok (Some reference) ->
       let mine = Instance.objective_value objective s.Solution.evaluation in
       let best = Instance.objective_value objective reference.Solution.evaluation in
-      if F.approx_eq ~eps:1e-6 mine best then Optimal
-      else Suboptimal (mine -. best)
+      if F.approx_eq ~eps:1e-6 mine best then Ok Optimal
+      else Ok (Suboptimal (mine -. best))
 
 let check instance objective s =
   let n = Pipeline.length instance.Instance.pipeline in
@@ -78,11 +80,13 @@ let check instance objective s =
     if not (structurally_valid && feasible) then Unknown
     else begin
       match certify instance objective s with
-      | Optimal -> Optimal
-      | Suboptimal gap ->
+      | Ok (Suboptimal gap) ->
           say "suboptimal by %g (certified)" gap;
           Suboptimal gap
-      | Unknown -> Unknown
+      | Ok optimality -> optimality
+      | Error refusal ->
+          say "no certificate: %s" refusal;
+          Unknown
     end
   in
   (* Fold the static-analysis findings in: instance-level numeric hazards

@@ -29,7 +29,9 @@ val check : Instance.t -> Instance.objective -> Solution.t -> report
 (** Optimality is certified against {!Solver}'s optimum: Algorithms 1-4
     on their classes, else the exact leg when the mapping space is within
     {!Solver.default_exact_budget} (every n, m <= 6 shape, and 2 x 11).
-    A larger space, or an instance the solver refuses, gives [Unknown]. *)
+    A larger space, or an instance the solver refuses, gives [Unknown],
+    and [messages] then names the refusal ("no certificate: " and
+    {!Solver.error_to_string}'s text). *)
 
 val ok : report -> bool
 (** Structurally valid, consistent and feasible (optimality not

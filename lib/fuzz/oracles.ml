@@ -732,6 +732,13 @@ let check_cert_replay _ctx rng (case : Gen.case) =
   in
   let _best, bb_cert = Core.Certify.bb inst obj in
   battery "B&B certificate" bb_cert;
+  (* A bounded cut is one the incumbent cannot justify, so relabelling
+     every such cut dominated must be refused. *)
+  (match Cert.mutate_relabel_bounded bb_cert with
+  | None -> ()
+  | Some mutant ->
+      expect_reject "B&B certificate with every bounded cut relabelled"
+        (Some mutant));
   if m <= Check.dp_max_procs then
     match Core.Certify.interval inst with
     | _, None -> failf "interval DP emitted no certificate"

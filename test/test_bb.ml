@@ -223,6 +223,86 @@ let bb_search_snapshot () =
     ];
   Helpers.Snapshot.check "bb-search.snap" (Buffer.contents buf)
 
+(* [Certify.bb] records the confirm pass under the probe's bound; its
+   answer must be [Bb.solve]'s, the same mapping with bit-identical
+   latency and failure, and so must its claim.  On exact-certify's shapes
+   (n=5, m in {5, 6}, its loose min-failure objective and a drawn one of
+   each kind) and on bb-search.snap's cases. *)
+let certify_identity_cases () =
+  let exact_certify =
+    List.concat_map
+      (fun seed ->
+        List.concat_map
+          (fun m ->
+            let rng = Rng.create (500 + seed) in
+            let inst = Helpers.random_fully_hetero rng ~n:5 ~m in
+            let max_latency, max_failure = thresholds_for rng inst in
+            List.map
+              (fun objective -> (Printf.sprintf "seed %d m=%d" seed m, inst, objective))
+              [
+                Instance.Min_failure { max_latency = 1e6 };
+                Instance.Min_failure { max_latency };
+                Instance.Min_latency { max_failure };
+              ])
+          [ 5; 6 ])
+      [ 0; 1; 2; 3 ]
+  in
+  let search =
+    List.concat
+      (List.mapi
+         (fun i (n, m) ->
+           List.concat_map
+             (fun (cls, gen) ->
+               let rng = Rng.create (100 + i) in
+               let inst = gen rng ~n ~m in
+               let max_latency, max_failure = thresholds_for rng inst in
+               List.map
+                 (fun objective ->
+                   (Printf.sprintf "%s n=%d m=%d" cls n m, inst, objective))
+                 [
+                   Instance.Min_failure { max_latency };
+                   Instance.Min_latency { max_failure };
+                 ])
+             [
+               ("fully-hetero", Helpers.random_fully_hetero);
+               ("comm-homog", Helpers.random_comm_homog);
+             ])
+         search_shapes)
+  in
+  exact_certify @ search
+
+let certify_matches_solve () =
+  let module Cert = Relpipe_cert.Cert in
+  let same (s : Solution.t) ~latency ~failure ~mapping =
+    Mapping.equal s.Solution.mapping mapping
+    && F.same_bits s.Solution.evaluation.Instance.latency latency
+    && F.same_bits s.Solution.evaluation.Instance.failure failure
+  in
+  List.iter
+    (fun (what, inst, objective) ->
+      let n = Pipeline.length inst.Instance.pipeline
+      and m = Platform.size inst.Instance.platform in
+      let certified, cert = Certify.bb inst objective in
+      let agree =
+        match (Bb.solve inst objective, certified, cert.Cert.body) with
+        | None, None, Cert.Bb { claim = Cert.Infeasible; _ } -> true
+        | ( Some s,
+            Some c,
+            Cert.Bb { claim = Cert.Feasible { latency; failure; mapping }; _ } )
+          ->
+            same s ~mapping:c.Solution.mapping
+              ~latency:c.Solution.evaluation.Instance.latency
+              ~failure:c.Solution.evaluation.Instance.failure
+            && same s ~latency ~failure ~mapping:(Mapping.make ~n ~m mapping)
+        | _ -> false
+      in
+      Alcotest.(check bool) (what ^ ": solution and claim = Bb.solve") true
+        agree;
+      match Relpipe_cert.Check.check inst cert with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: certificate rejected: %s" what e)
+    (certify_identity_cases ())
+
 (* ------------------------------------------------------------------ *)
 (* Tri-criteria                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -333,6 +413,8 @@ let () =
           test "solves fig5" bb_fig5;
           test "stats and memo reset between solves" bb_stats_independent;
           test "search pinned by bb-search.snap" bb_search_snapshot;
+          test "Certify.bb answers and claims Bb.solve's optimum"
+            certify_matches_solve;
         ] );
       ( "tri-criteria",
         [

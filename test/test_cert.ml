@@ -101,12 +101,15 @@ let dp_hand_built () =
 (* A complete hand-built branch-and-bound transcript needs exactly
    representable failure probabilities, so use fp = 0: the search's
    log-space accumulation then yields -0.0 everywhere, which the text
-   format round-trips.  One stage, two processors:
+   format round-trips.  One stage, two processors.  The probe visits the
+   root's children best-first by their lower bounds (1-1:1 at 1 + 2/2 = 3,
+   1-1:0 at 1 + 4/1 = 5, 1-1:0,1 at (1+1) + 4/1 = 6) and finds 1-1:1 at
+   latency 1 + (2 + 1) = 4.  The recorded pass then runs under that bound:
 
      root is expanded (lower bound 4/2 = 2);
-     1-1:0    evaluates to 1 + (4 + 1) = 6, becomes the incumbent;
-     1-1:1    evaluates to 1 + (2 + 1) = 4, replaces it;
-     1-1:0,1  has bound (1+1) + 4/1 = 6 >= 4: dominated. *)
+     1-1:0    has bound 5 > 4 and no incumbent yet: bounded;
+     1-1:1    evaluates to 4 and becomes the incumbent;
+     1-1:0,1  has bound 6 >= 4: dominated. *)
 let hand_bb_instance =
   Instance.make
     (Pipeline.of_costs ~input:2.0 [ (4.0, 2.0) ])
@@ -114,46 +117,110 @@ let hand_bb_instance =
        ~bandwidth:2.0)
 
 let hand_bb_objective = Instance.Min_latency { max_failure = 0.5 }
+let hand_iv procs = { Mapping.first = 1; last = 1; procs }
+let hand_node path status = { Cert.path; status }
 
-let hand_bb_cert =
-  let iv procs = { Mapping.first = 1; last = 1; procs } in
-  let node path status = { Cert.path; status } in
+let hand_pruned reason latency_lb =
+  Cert.Pruned { reason; latency_lb; partial_failure = -0.0 }
+
+let hand_claim =
+  Cert.Feasible { latency = 4.0; failure = -0.0; mapping = [ hand_iv [ 1 ] ] }
+
+let hand_bb_with_nodes ?(claim = hand_claim) nodes =
   {
     Cert.n = 1;
     m = 2;
     instance_digest = None;
-    body =
-      Cert.Bb
-        {
-          objective = hand_bb_objective;
-          claim =
-            Cert.Feasible
-              { latency = 4.0; failure = -0.0; mapping = [ iv [ 1 ] ] };
-          nodes =
-            [
-              node [] Cert.Expanded;
-              node [ iv [ 0 ] ]
-                (Cert.Evaluated { latency = 6.0; failure = -0.0 });
-              node [ iv [ 1 ] ]
-                (Cert.Evaluated { latency = 4.0; failure = -0.0 });
-              node
-                [ iv [ 0; 1 ] ]
-                (Cert.Pruned
-                   {
-                     reason = Cert.Dominated;
-                     latency_lb = 6.0;
-                     partial_failure = -0.0;
-                   });
-            ];
-        };
+    body = Cert.Bb { objective = hand_bb_objective; claim; nodes };
   }
+
+let hand_bb_cert =
+  hand_bb_with_nodes
+    [
+      hand_node [] Cert.Expanded;
+      hand_node [ hand_iv [ 0 ] ] (hand_pruned Cert.Bounded 5.0);
+      hand_node [ hand_iv [ 1 ] ]
+        (Cert.Evaluated { latency = 4.0; failure = -0.0 });
+      hand_node [ hand_iv [ 0; 1 ] ] (hand_pruned Cert.Dominated 6.0);
+    ]
+
+(* The same search recorded without a bound, as the emitter once wrote
+   it: 1-1:0 evaluates to 1 + (4 + 1) = 6 and is the incumbent until
+   1-1:1 replaces it. *)
+let hand_bb_unbounded_cert =
+  hand_bb_with_nodes
+    [
+      hand_node [] Cert.Expanded;
+      hand_node [ hand_iv [ 0 ] ]
+        (Cert.Evaluated { latency = 6.0; failure = -0.0 });
+      hand_node [ hand_iv [ 1 ] ]
+        (Cert.Evaluated { latency = 4.0; failure = -0.0 });
+      hand_node [ hand_iv [ 0; 1 ] ] (hand_pruned Cert.Dominated 6.0);
+    ]
 
 let bb_hand_built () =
   accepts "hand-built B&B certificate" hand_bb_instance hand_bb_cert;
   (* The emitter produces the same transcript for the same search. *)
   let _, emitted = Certify.bb hand_bb_instance hand_bb_objective in
   Alcotest.(check bool) "emitted transcript = hand transcript" true
-    (Cert.equal { emitted with Cert.instance_digest = None } hand_bb_cert)
+    (Cert.equal { emitted with Cert.instance_digest = None } hand_bb_cert);
+  accepts "hand-built unbounded B&B certificate" hand_bb_instance
+    hand_bb_unbounded_cert
+
+let rejects_with what ~expect instance cert =
+  match Check.check instance cert with
+  | Ok _ -> Alcotest.failf "%s accepted but must be rejected" what
+  | Error e -> Alcotest.(check string) (what ^ " refused") expect e
+
+(* Each defect is the only one in its transcript, so the checker names
+   it. *)
+let bb_bounded_refusals () =
+  let evaluated_as_bounded =
+    hand_bb_with_nodes
+      [
+        hand_node [] Cert.Expanded;
+        hand_node [ hand_iv [ 0 ] ] (hand_pruned Cert.Bounded 5.0);
+        hand_node [ hand_iv [ 1 ] ] (hand_pruned Cert.Bounded 3.0);
+        hand_node [ hand_iv [ 0; 1 ] ] (hand_pruned Cert.Dominated 6.0);
+      ]
+  in
+  rejects_with "1-1:1 cut as bounded at its true bound 3 <= 4"
+    ~expect:"bounded cut at 1-1:1 is not justified" hand_bb_instance
+    evaluated_as_bounded;
+  let infeasible =
+    match hand_bb_cert.Cert.body with
+    | Cert.Bb { nodes; _ } -> hand_bb_with_nodes ~claim:Cert.Infeasible nodes
+    | Cert.Dp _ -> assert false
+  in
+  rejects_with "a bounded cut under an infeasible claim"
+    ~expect:"bounded cut at 1-1:0 under an infeasible claim" hand_bb_instance
+    infeasible;
+  match Cert.mutate_relabel_bounded hand_bb_cert with
+  | None -> Alcotest.fail "the hand transcript has no bounded cut"
+  | Some relabelled ->
+      rejects_with "every bounded cut relabelled dominated"
+        ~expect:"dominated cut at 1-1:0 is not justified" hand_bb_instance
+        relabelled
+
+(* A certificate the unbounded recorder wrote (bb-search.snap case 00,
+   3,091 bytes, min-failure) stays valid: a transcript without bounded
+   cuts is checked as it always was. *)
+let bb_unbounded_fixture () =
+  let instance =
+    match Textio.parse_file "fixtures/bb_search_00.relpipe" with
+    | Ok instance -> instance
+    | Error e -> Alcotest.failf "fixture does not parse: %s" e
+  in
+  let text =
+    In_channel.with_open_bin "fixtures/bb_search_00.cert" In_channel.input_all
+  in
+  Alcotest.(check int) "fixture length" 3091 (String.length text);
+  match Cert.of_string text with
+  | Error e -> Alcotest.failf "fixture certificate does not parse: %s" e
+  | Ok cert ->
+      Alcotest.(check bool) "no bounded cut" true
+        (Option.is_none (Cert.mutate_relabel_bounded cert));
+      accepts "unbounded-recorder certificate" instance cert
 
 let bb_emitted_hand_claim () =
   (* On the 3-stage hand instance the latency optimum is the DP's 10.0
@@ -368,8 +435,8 @@ let snapshot_shapes = [ (2, 3); (3, 4); (4, 4); (3, 5) ]
 let snapshot_mutants = [ 0; 1; 2; 3; -1 ]
 
 (* Defects the index-driven mutators cannot make: a repeated entry, and
-   for B&B an entry no expansion reaches and a path with unsorted
-   processors. *)
+   for B&B an entry no expansion reaches, a path with unsorted processors
+   and every bounded cut relabelled dominated ("-" when there is none). *)
 let extra_mutants cert =
   match cert.Cert.body with
   | Cert.Bb ({ nodes; _ } as bb) ->
@@ -377,14 +444,19 @@ let extra_mutants cert =
       let iv procs = { Mapping.first = 1; last = 1; procs } in
       let node path = { Cert.path; status = Cert.Expanded } in
       [
-        ("duplicate", with_nodes (nodes @ [ List.hd (List.rev nodes) ]));
-        ("stray", with_nodes (nodes @ [ node [ iv [ 0 ]; iv [ 0 ] ] ]));
-        ("unsorted", with_nodes (node [ iv [ 1; 0 ] ] :: nodes));
+        ("duplicate", Some (with_nodes (nodes @ [ List.hd (List.rev nodes) ])));
+        ("stray", Some (with_nodes (nodes @ [ node [ iv [ 0 ]; iv [ 0 ] ] ])));
+        ("unsorted", Some (with_nodes (node [ iv [ 1; 0 ] ] :: nodes)));
+        ("relabel", Cert.mutate_relabel_bounded cert);
       ]
   | Cert.Dp ({ cells; _ } as dp) ->
       [
         ( "duplicate",
-          { cert with Cert.body = Cert.Dp { dp with cells = cells @ [ List.hd cells ] } } );
+          Some
+            {
+              cert with
+              Cert.body = Cert.Dp { dp with cells = cells @ [ List.hd cells ] };
+            } );
       ]
 
 let verdict instance = function
@@ -409,7 +481,7 @@ let render_cert buf ~label instance cert =
     snapshot_mutants;
   List.iter
     (fun (what, mutant) ->
-      Printf.bprintf buf "  %s: %s\n" what (verdict instance (Some mutant)))
+      Printf.bprintf buf "  %s: %s\n" what (verdict instance mutant))
     (extra_mutants cert)
 
 let cert_bytes_snapshot () =
@@ -445,6 +517,66 @@ let cert_bytes_snapshot () =
     snapshot_shapes;
   Helpers.Snapshot.check "cert-bytes.snap" (Buffer.contents buf)
 
+(* ------------------------------------------------------------------ *)
+(* Identity: the DP certificate comes from the workspace tables        *)
+(* ------------------------------------------------------------------ *)
+
+(* [Certify.interval] solves in the domain-local workspace; its
+   certificate must be byte-identical to one built from a cold
+   [Dp.solve]'s owned table, on exact-certify's shapes (B&B n=5, m in
+   {5, 6}; DP n=8, m in {8, 10}) and bb-search.snap's. *)
+let dp_identity_shapes =
+  [ (5, 5); (5, 6); (8, 8); (8, 10); (3, 3); (4, 4); (5, 4); (3, 6); (6, 5) ]
+
+let dp_certificate_identity () =
+  List.iteri
+    (fun i (n, m) ->
+      List.iter
+        (fun (cls, gen) ->
+          let instance = gen (Rng.create (400 + i)) ~n ~m in
+          let what = Printf.sprintf "%s n=%d m=%d" cls n m in
+          let opt, cert = Certify.interval instance in
+          let owned, state, _ = Interval_exact.Dp.solve instance in
+          let expected =
+            match owned with
+            | None -> None
+            | Some (latency, mapping) ->
+                let cells =
+                  Interval_exact.Dp.fold_finite_cells state ~init:[]
+                    ~f:(fun acc ~e ~u ~mask value ->
+                      { Cert.e; u; mask; value } :: acc)
+                in
+                Some
+                  {
+                    Cert.n;
+                    m;
+                    instance_digest =
+                      Some
+                        (Digest.to_hex (Digest.string (Textio.to_string instance)));
+                    body =
+                      Cert.Dp
+                        {
+                          latency;
+                          mapping = Mapping.intervals mapping;
+                          cells = List.rev cells;
+                        };
+                  }
+          in
+          (match (opt, owned) with
+          | Some (l, map), Some (l', map') ->
+              Alcotest.(check bool) (what ^ ": same answer") true
+                (bits_eq l l' && Mapping.equal map map')
+          | None, None -> ()
+          | _ -> Alcotest.failf "%s: the answers disagree on existence" what);
+          Alcotest.(check (option string)) (what ^ ": same certificate bytes")
+            (Option.map Cert.to_string expected)
+            (Option.map Cert.to_string cert))
+        [
+          ("fully-hetero", Helpers.random_fully_hetero);
+          ("comm-homog", Helpers.random_comm_homog);
+        ])
+    dp_identity_shapes
+
 let parser_rejects () =
   let reject_text what text =
     match Cert.of_string text with
@@ -468,6 +600,9 @@ let () =
           test "hand-built B&B certificate accepted" bb_hand_built;
           test "emitted B&B claim matches hand-computed bound"
             bb_emitted_hand_claim;
+          test "bounded cuts refused when unjustified" bb_bounded_refusals;
+          test "unbounded-recorder certificate still accepted"
+            bb_unbounded_fixture;
         ] );
       ( "format",
         [
@@ -483,5 +618,10 @@ let () =
           test "stable mutation battery rejected" mutation_battery;
           test "digest binds certificate to instance" digest_binding;
           test "bb certificate beyond the width cap refused" bb_width_cap;
+        ] );
+      ( "identity",
+        [
+          test "DP certificate = certificate of a cold Dp.solve"
+            dp_certificate_identity;
         ] );
     ]

@@ -245,6 +245,42 @@ let validate_unknown_when_large () =
       ("1x30", wide, Mapping.make ~n:1 ~m:30 [ one 0 ]);
     ]
 
+(* When the solver refuses to produce a reference, the report says why:
+   an instance with a processor that always fails (lint error RP-I002),
+   and the 1x30 fixture whose mapping space exceeds the exact budget. *)
+let validate_reports_refusal () =
+  let load path =
+    match Textio.parse_file path with
+    | Ok inst -> inst
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun (path, intervals, objective, needle) ->
+      let inst = load path in
+      let mapping =
+        Mapping.make
+          ~n:(Pipeline.length inst.Instance.pipeline)
+          ~m:(Platform.size inst.Instance.platform)
+          intervals
+      in
+      let r = Validate.check inst objective (Solution.of_mapping inst mapping) in
+      Alcotest.(check bool) (path ^ " no tractable certificate") true
+        (r.Validate.optimality = Validate.Unknown);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s messages name %S" path needle)
+        true
+        (List.exists (fun msg -> Helpers.contains ~needle msg) r.Validate.messages))
+    [
+      ( "fixtures/certain_failure_proc.relpipe",
+        [ { Mapping.first = 1; last = 2; procs = [ 1 ] } ],
+        Instance.Min_latency { max_failure = 0.9 },
+        "error[RP-I002]: processor 0: failure probability 1 is outside [0,1)" );
+      ( "fixtures/wide_fully_hetero.relpipe",
+        [ { Mapping.first = 1; last = 1; procs = [ 0 ] } ],
+        Instance.Min_failure { max_latency = 1e9 },
+        "more than 200000 mappings" );
+    ]
+
 let () =
   Alcotest.run "extras"
     [
@@ -278,5 +314,6 @@ let () =
           test "detects stale evaluation" validate_detects_stale_evaluation;
           validate_poly_certificate;
           test "unknown when large" validate_unknown_when_large;
+          test "solver refusal in messages" validate_reports_refusal;
         ] );
     ]

@@ -330,6 +330,28 @@ for tamper in "raised:recorded bounds at" \
     exit 1
   fi
 done
+# The exact-certify benchmark's shape (fully heterogeneous, n=5, m=6)
+# under a loose latency bound.  The transcript is recorded under the
+# bound the probe found, so most of its cuts read `pruned bounded` and
+# are checked against the claim.  Relabelling them `dominated` must be
+# refused: the search calls a cut bounded only when its incumbent cannot
+# justify it.
+ec=test/fixtures/exact_certify_5x6.relpipe
+"$relpipe" exact -i "$ec" -L 1000000 --certify "$tmp/ec.cert" >/dev/null
+"$relpipe" cert -i "$ec" "$tmp/ec.cert" >/dev/null
+grep -q "^node .* pruned bounded " "$tmp/ec.cert" || {
+  echo "check.sh: the exact-certify transcript has no bounded cut" >&2
+  exit 1; }
+sed 's/ pruned bounded / pruned dominated /' "$tmp/ec.cert" \
+  > "$tmp/ec-relabelled.cert"
+"$relpipe" cert -i "$ec" "$tmp/ec-relabelled.cert" >/dev/null \
+  2>"$tmp/ec-relabelled.err" && rc=0 || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "REJECTED: dominated cut at" \
+  "$tmp/ec-relabelled.err"; then
+  echo "check.sh: relpipe cert accepted relabelled bounded cuts (exit $rc)" >&2
+  cat "$tmp/ec-relabelled.err" >&2
+  exit 1
+fi
 for f in fig5 lab-cluster federation; do
   "$relpipe" exact -i "examples/instances/$f.relpipe" -F 0.5 --leg dp \
     --certify "$tmp/$f-dp.cert" >/dev/null
